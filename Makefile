@@ -36,24 +36,23 @@ race-smoke:
 sanitize:
 	$(PYTHON) -m repro lint --sanitize-smoke --smoke-n 50000 --smoke-pes 4 src
 
-# Performance-regression gate: times all three engines (words /
-# superacc / small, the latter on every available native backend)
-# over the pinned Table-1 matrix, pins bit-identity against the
-# scalar oracles, and writes BENCH_8.json (schema
-# repro.bench.regress/3).  Fails when superacc is not faster at the
-# N=8 / 1M-summand headline case or on any backend divergence; the
-# small engine's 10x target is recorded, not gated.
+# Performance-regression gate: times both exact engines (words / small,
+# the latter checked on every available native backend) over the
+# pinned Table-1 matrix, pins bit-identity against the scalar oracle,
+# and writes BENCH_8.json (schema repro.bench.regress/5).  Fails when
+# small is not faster than words at the N=8 / 1M-summand headline case
+# or on any backend divergence; the 10x target is recorded, not gated.
 bench-regress:
 	$(PYTHON) -m repro bench --regress --out BENCH_8.json
 
 # Strong-scaling gate: real wall-clock of the procs substrate (shared
-# memory process pool) for double/hp/hp-superacc/hp-small at 4M
-# summands over p in {1,2,4,8}; writes BENCH_4.json (schema
-# repro.bench.scaling/3; warm-up excluded from the timed region by
-# contract, tasks == pes asserted per case).  Fails on any bitwise
-# divergence from the serial superaccumulator, or when hp-superacc at
-# p=4 misses the machine-aware minimum speedup (2x on >= 4 cores;
-# waived — and recorded as waived — on one core).
+# memory process pool) for double/hp/hp-small at 4M summands over p
+# in {1,2,4,8}; writes BENCH_4.json (schema repro.bench.scaling/3;
+# warm-up excluded from the timed region by contract, tasks == pes
+# asserted per case).  Fails on any bitwise divergence from the serial
+# word-matrix reference, or when hp-small at p=4 misses the
+# machine-aware minimum speedup (2x on >= 4 cores; waived — and
+# recorded as waived — on one core).
 bench-scaling:
 	$(PYTHON) -m repro bench --scaling --out BENCH_4.json
 
@@ -63,7 +62,7 @@ bench-scaling:
 # attribution").  `--calibrate` feeds measured anchors back into the
 # performance model.
 profile:
-	$(PYTHON) -m repro profile --engine hp-superacc --n 1048576 \
+	$(PYTHON) -m repro profile --engine hp-small --n 1048576 \
 		--flamegraph profile.collapsed \
 		--speedscope profile.speedscope.json \
 		--perfetto profile.perfetto.json

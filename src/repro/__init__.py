@@ -47,8 +47,6 @@ from repro.core import (
     HPParams,
     SmallAccumulator,
     smallacc_total,
-    SuperAccumulator,
-    superacc_total,
     batch_from_double,
     batch_sum_doubles,
     batch_sum_words,
@@ -85,8 +83,6 @@ __all__ = [
     "HPAccumulator",
     "HPMultiAccumulator",
     "AdaptiveAccumulator",
-    "SuperAccumulator",
-    "superacc_total",
     "SmallAccumulator",
     "smallacc_total",
     "hp_dot",

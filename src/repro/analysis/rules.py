@@ -662,9 +662,7 @@ def check_timing_under_lock(module: ModuleSource) -> Iterator[Finding]:
 
 #: Engine entry points that must be reached through the registry
 #: (``repro.core.engines``) rather than bound directly.
-_ENGINE_FUNCS = frozenset(
-    {"superacc_total", "smallacc_total", "words_scaled_total"}
-)
+_ENGINE_FUNCS = frozenset({"smallacc_total", "words_scaled_total"})
 
 #: Files allowed to bind engine functions directly: the engines
 #: themselves, the registry that wraps them, and the package surfaces
@@ -672,7 +670,6 @@ _ENGINE_FUNCS = frozenset(
 _ENGINE_HOSTS = frozenset(
     {
         ("core", "engines.py"),
-        ("core", "superacc.py"),
         ("core", "smallacc.py"),
         ("core", "vectorized.py"),
         ("core", "__init__.py"),
@@ -693,13 +690,13 @@ def _is_engine_host(path: str) -> bool:
     "paper Sec. IV (one exactness contract per engine); PR 8 registry "
     "unification",
     packages=None,  # callers can live anywhere outside the hosts
-    example_bad='from repro.core.superacc import superacc_total\ntotal = superacc_total(xs, params)',
-    example_good='from repro.core import engines\ntotal = engines.scaled_total(xs, params, chunk, "superacc")',
+    example_bad='from repro.core.smallacc import smallacc_total\ntotal = smallacc_total(xs, params)',
+    example_good='from repro.core import engines\ntotal = engines.scaled_total(xs, params, chunk, "small")',
 )
 def check_engine_registry_bypass(module: ModuleSource) -> Iterator[Finding]:
     """Flag direct imports (and dotted references) of the per-engine
-    total functions — ``superacc_total`` / ``smallacc_total`` /
-    ``words_scaled_total`` — anywhere outside the engine modules, the
+    total functions — ``smallacc_total`` / ``words_scaled_total`` —
+    anywhere outside the engine modules, the
     registry, and the ``repro.core`` re-export surface.  The registry
     (:mod:`repro.core.engines`) is the single dispatch point: a caller
     that binds an engine function directly re-grows the if/elif ladders
@@ -780,7 +777,7 @@ def _is_integer_dtype(expr: ast.AST) -> bool:
     "Hallman & Ipsen 2021 (a-priori bounds); PR 9 accuracy planner",
     packages=("core", "parallel", "apps"),
     example_bad="total = float(np.sum(xs))         # O(n*u) error, no bound\ntotal = sum(values)               # builtin float accumulation",
-    example_good='words = engines.batch_words(xs, params, chunk, True, "superacc")\ntotal = compensated_sum(xs, kernel="neumaier")  # bounded tier',
+    example_good='words = engines.batch_words(xs, params, chunk, True, "small")\ntotal = compensated_sum(xs, kernel="neumaier")  # bounded tier',
 )
 def check_unbounded_float_reduction(module: ModuleSource) -> Iterator[Finding]:
     """Flag ``np.sum`` / ``np.add.reduce`` / builtin ``sum()`` whose

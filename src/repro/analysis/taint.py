@@ -299,7 +299,7 @@ def propagate_taint(project) -> dict[str, dict]:
     example_good=(
         'def exact_total(xs):\n'
         '    """Exact, order-invariant total."""\n'
-        '    acc = SuperAccumulator(params)\n'
+        '    acc = SmallAccumulator(params)\n'
         '    acc.absorb(xs)\n'
         '    return acc.total()'
     ),
@@ -332,7 +332,7 @@ def check_taint_reaches_exact(project) -> Iterator[Finding]:
                 f"{fq}() is documented exact but returns a value tainted "
                 f"by {reason['kind']} source {reason['detail']} at line "
                 f"{reason['line']}{via}; exact paths must reduce through "
-                "the HP/superaccumulator kernels"
+                "the exact HP engines"
             ),
         )
 

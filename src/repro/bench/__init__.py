@@ -1,16 +1,16 @@
 """Benchmark harnesses: engine regression and strong scaling.
 
 ``repro bench --regress`` runs a pinned benchmark matrix comparing the
-word-matrix batch path against the exponent-binned superaccumulator
-(:mod:`repro.core.superacc`) and writes a schema-versioned JSON report
-(``BENCH_<pr>.json``).  CI replays the matrix and fails when the
-superaccumulator stops being faster than the words path at the headline
+word-matrix reference path against Neal's small accumulator
+(:mod:`repro.core.smallacc`) and writes a schema-versioned JSON report
+(``BENCH_<pr>.json``).  CI replays the matrix and fails when the small
+engine stops being faster than the words path at the headline
 configuration (N=8 words, one million summands) or when either engine
 stops being bit-identical to the scalar accumulator oracle.
 
 ``repro bench --scaling`` measures *real wall-clock* strong scaling of
 the ``procs`` substrate (:mod:`repro.parallel.procpool`) for double /
-hp / hp-superacc at >= 4M summands over p in {1, 2, 4, 8}, reports
+hp / hp-small at >= 4M summands over p in {1, 2, 4, 8}, reports
 parallel efficiency, and gates on bit-identity plus a machine-aware
 minimum speedup (schema ``repro.bench.scaling/2``).
 

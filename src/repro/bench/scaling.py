@@ -9,7 +9,7 @@ that factor.  Every other substrate simulates its parallelism; the
 
 What it measures
 ----------------
-For each method in ``double`` / ``hp`` / ``hp-superacc`` / ``hp-small``
+For each method in ``double`` / ``hp`` / ``hp-small``
 the harness times
 
 * one serial reduction (the method adapter's ``local_reduce`` +
@@ -36,12 +36,13 @@ case: ``speedup = T_serial / T_p`` and ``efficiency = speedup / p``.
 What it checks
 --------------
 * **bit-identity** — every exact procs reduction must produce the same
-  HP words as the serial superaccumulator engine, at every PE count;
+  HP words as the serial word-matrix reference engine, at every PE
+  count;
 * **task placement** — every case must have scheduled exactly ``pes``
   tasks (``tasks == pes``), recorded per case and as a global check, so
   a speedup row can never silently describe a different decomposition
   than its label claims;
-* **real speedup** — the ``hp-superacc`` case at the gate PE count
+* **real speedup** — the ``hp-small`` case at the gate PE count
   (4 when present) must beat serial by ``min_speedup``.  The default
   gate adapts to the machine: 2.0x with >= 4 usable cores, 1.2x with
   2-3, and *waived* on a single-core machine, where a real speedup is
@@ -78,7 +79,7 @@ ACCEPTED_SCALING_SCHEMAS = (
 DEFAULT_SCALING_N = 4 << 20
 
 DEFAULT_PES = (1, 2, 4, 8)
-DEFAULT_METHODS = ("double", "hp", "hp-superacc", "hp-small")
+DEFAULT_METHODS = ("double", "hp", "hp-small")
 DEFAULT_SCALING_REPEATS = 3
 DEFAULT_SCALING_SEED = 20160523
 #: PE count the speedup gate reads (first choice; falls back to max).
@@ -136,14 +137,15 @@ def run_scaling(
     ``drift`` arms the accuracy-drift monitor: the procs substrate's own
     hook then shadow-sums the (untimed) first reduction of every case
     and the monitor digest lands in the report under ``"drift"``.
-    ``profile`` runs one phase-attributed ``hp-superacc`` procs
+    ``profile`` runs one phase-attributed ``hp-small`` procs
     reduction at the gate PE count after the timed matrix (per-worker
     rows included) and embeds the cost table under ``"phases"``.
     """
     import numpy as np
 
+    from repro.core.vectorized import batch_sum_doubles
     from repro.parallel.drivers import make_method
-    from repro.parallel.methods import HPSmallaccMethod, HPSuperaccMethod
+    from repro.parallel.methods import HPSmallaccMethod
     from repro.parallel.procpool import ProcPool, default_start_method
 
     drift_monitor = None
@@ -166,12 +168,14 @@ def run_scaling(
 
     serial = {m: _serial_case(m, xs, repeats) for m in methods}
 
-    # Exact-words reference: the serial superaccumulator engine.
-    superacc = make_method("hp-superacc")
-    reference_words = tuple(superacc.words(superacc.local_reduce(xs)))
+    # Exact-words reference: the serial word-matrix engine, in the
+    # default HP format every exact case below runs in.
+    reference_words = tuple(
+        batch_sum_doubles(xs, make_method("hp").params, method="words")
+    )
 
     def _case_words(adapter, partial):
-        if isinstance(adapter, (HPSuperaccMethod, HPSmallaccMethod)):
+        if isinstance(adapter, HPSmallaccMethod):
             return tuple(adapter.words(partial))
         if adapter.name == "hp":
             return tuple(partial)
@@ -231,7 +235,7 @@ def run_scaling(
         (
             c
             for c in cases
-            if c["method"] == "hp-superacc" and c["pes"] == gate_pes
+            if c["method"] == "hp-small" and c["pes"] == gate_pes
         ),
         None,
     )
@@ -298,7 +302,7 @@ def _profile_scaling_pass(xs, pes: int, start: str) -> dict:
                                       pes=pes):
                 with ProcPool(data=xs, pes=pes, start_method=start) as pool:
                     pool.warmup()
-                    pool.reduce(make_method("hp-superacc"))
+                    pool.reduce(make_method("hp-small"))
         report = _prof.ProfileReport.from_tracer()
     finally:
         _tracing.TRACER.reset()
@@ -307,7 +311,7 @@ def _profile_scaling_pass(xs, pes: int, start: str) -> dict:
     doc = report.to_dict()
     doc["substrate"] = "procs"
     doc["pes"] = pes
-    doc["method"] = "hp-superacc"
+    doc["method"] = "hp-small"
     return doc
 
 

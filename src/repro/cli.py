@@ -158,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument(
         "--engine",
         choices=_engine_names(),
-        default="superacc",
+        default="small",
         help="hp batch engine from the repro.core.engines registry: "
-        "exponent-binned superaccumulator (default), Neal small "
-        "superaccumulator with optional compiled backend ('small'), the "
-        "word-matrix path, or a bounded-error compensated tier "
+        "Neal small accumulator with optional compiled backend "
+        "('small', the default), the word-matrix reference path "
+        "('words'), or a bounded-error compensated tier "
         "('comp-pairwise'/'comp-kahan'/'comp-neumaier') — exact engines "
         "give bit-identical results; comp-* tiers promise an a-priori "
         "error bound instead",
@@ -276,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         "scalar oracle across input permutations and chunk sizes.  "
         "--scaling runs the strong-scaling matrix from "
         "repro.bench.scaling: real wall-clock timings of the procs "
-        "substrate for double/hp/hp-superacc over p in {1,2,4,8}, "
+        "substrate for double/hp/hp-small over p in {1,2,4,8}, "
         "gated on bit-identity and a machine-aware minimum speedup.  "
         "Both write a schema-versioned BENCH_<pr>.json report; exit "
         "status is 0 only when every check passes.",
     )
     p_bench.add_argument(
         "--regress", action="store_true",
-        help="run the engine-regression matrix (superacc vs words)",
+        help="run the engine-regression matrix (small vs words)",
     )
     p_bench.add_argument(
         "--scaling", action="store_true",
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument(
         "--min-speedup", type=float, default=None,
-        help="regress: required headline superacc speedup over the words "
+        help="regress: required headline small speedup over the words "
         "path (default 1.0).  scaling: required procs speedup over serial "
         "at the gate PE count (default: auto for this machine's core "
         "count; 0 waives the gate, bit-identity still enforced)",
@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--engine",
-        choices=("hp-superacc", "hp-small", "hp-words", "hallberg", "double"),
-        default="hp-superacc",
-        help="reduction engine to profile (default hp-superacc)",
+        choices=("hp-small", "hp-words", "hallberg", "double"),
+        default="hp-small",
+        help="reduction engine to profile (default hp-small)",
     )
     p_prof.add_argument("--n", type=int, default=1 << 20,
                         help="summand count (default 1M)")
@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0: serve only)",
     )
     p_serve.add_argument(
-        "--method", choices=("hp", "hp-superacc", "hallberg", "double"),
-        default="hp-superacc", help="workload method (default hp-superacc)",
+        "--method", choices=("hp", "hp-small", "hallberg", "double"),
+        default="hp-small", help="workload method (default hp-small)",
     )
     p_serve.add_argument(
         "--substrate", choices=("serial", "threads", "procs"),
@@ -636,7 +636,7 @@ def _cmd_sum_substrate(args, xs=None, decision=None) -> int:
     params = None
     if method == "hp":
         # Each engine's adapter ships its native partial representation
-        # (bins / chunks / words); the registry maps engine -> adapter.
+        # (chunks / words); the registry maps engine -> adapter.
         from repro.core.engines import get as _get_engine
 
         method = _get_engine(args.engine).adapter_name
@@ -1410,17 +1410,18 @@ def _profile_workload(args):
 
     if args.substrate != "serial":
         from repro.parallel.drivers import make_method
+        from repro.parallel.methods import HPMethod
 
-        name = {"hp-words": "hp", "double": "double",
-                "hallberg": "hallberg",
-                "hp-superacc": "hp-superacc",
-                "hp-small": "hp-small"}[args.engine]
         params = None
         if args.params is not None and args.engine != "double":
             params = (HallbergParams(*args.params)
                       if args.engine == "hallberg"
                       else HPParams(*args.params))
-        adapter = make_method(name, params)
+        if args.engine == "hp-words":
+            # The word-partial adapter with the reference kernel.
+            adapter = HPMethod(params or HPParams(6, 3), engine="words")
+        else:
+            adapter = make_method(args.engine, params)
         if args.substrate == "threads":
             from repro.parallel.threads import thread_reduce
 
@@ -1440,8 +1441,8 @@ def _profile_workload(args):
               else HallbergParams(10, 38))
         return xs, lambda: hb_to_double(hb_batch_sum_doubles(xs, hb), hb)
     hp = HPParams(*args.params) if args.params else HPParams(6, 3)
-    # hp-superacc/hp-small map to their registry engines; hp-words is
-    # the word-matrix reference path.
+    # hp-small maps to its registry engine; hp-words is the word-matrix
+    # reference path.
     from repro.core.engines import engine_for_adapter
 
     method = engine_for_adapter(args.engine) or "words"
@@ -1470,8 +1471,8 @@ def _cmd_profile_calibrate(args) -> int:
     hb = HallbergParams(10, 38)
     measured = {
         "double": _time_best(lambda: float(np.sum(xs)), args.repeats),
-        "hp-superacc": _time_best(
-            lambda: batch_sum_doubles(xs, hp, method="superacc"),
+        "hp-small": _time_best(
+            lambda: batch_sum_doubles(xs, hp, method="small"),
             args.repeats,
         ),
         "hallberg": _time_best(
@@ -1505,17 +1506,27 @@ def _cmd_profile(args) -> int:
 
     xs, run = _profile_workload(args)
 
+    # The cost table is built from spans; the profile.* metrics are
+    # recorded only when an output that carries them (--prom-out,
+    # --metrics-out, a metrics server) has armed the metrics gate, so an
+    # unread registry adds no bookkeeping to the measured pass.
+    #
     # One discarded warmup pass (same policy as util.timing.repeat_timeit)
     # so the attributed pass reflects steady-state costs, not first-call
-    # allocator/import effects.  Skipped for procs: a throwaway pool
-    # spawn would cost more than the skew it removes.
+    # allocator/import effects — the profiler's own first spans and
+    # metric registrations included, hence armed, then wiped.  Skipped
+    # for procs: a throwaway pool spawn would cost more than the skew it
+    # removes.
     if args.substrate != "procs":
-        run()
+        with prof.profiled(metrics=False):
+            run()
+        obs.TRACER.reset()
+        obs.REGISTRY.reset()
 
     sampler = None
     if not args.no_sample:
         sampler = prof.SamplingProfiler(interval_s=1.0 / args.sample_hz)
-    with prof.profiled():
+    with prof.profiled(metrics=False):
         if sampler is not None:
             sampler.start()
         try:
@@ -1527,22 +1538,26 @@ def _cmd_profile(args) -> int:
                 sampler.stop()
     report = prof.ProfileReport.from_tracer()
 
+    # With --json, stdout carries only the JSON document.
+    notice = sys.stderr if args.json else sys.stdout
     if args.flamegraph:
         with open(args.flamegraph, "w", encoding="utf-8") as fh:
             fh.write(sampler.collapsed() if sampler else "")
-        print(f"flamegraph collapsed stacks written to {args.flamegraph}")
+        print(f"flamegraph collapsed stacks written to {args.flamegraph}",
+              file=notice)
     if args.speedscope:
         doc = (sampler.speedscope(f"repro profile {args.engine}")
                if sampler else prof.speedscope_document({}))
         with open(args.speedscope, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        print(f"speedscope profile written to {args.speedscope}")
+        print(f"speedscope profile written to {args.speedscope}",
+              file=notice)
     if args.perfetto:
         with open(args.perfetto, "w", encoding="utf-8") as fh:
             json.dump(prof.chrome_trace_with_phases(), fh, indent=2)
             fh.write("\n")
-        print(f"perfetto trace written to {args.perfetto}")
+        print(f"perfetto trace written to {args.perfetto}", file=notice)
 
     if args.json:
         doc = report.to_dict()

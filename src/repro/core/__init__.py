@@ -41,7 +41,6 @@ from repro.core.multi import HPMultiAccumulator
 from repro.core.norms import exact_norm2, exact_sum_abs, sqrt_correctly_rounded
 from repro.core.smallacc import SmallAccumulator, smallacc_total
 from repro.core.streaming import AdaptiveAccumulator
-from repro.core.superacc import SuperAccumulator, superacc_total
 from repro.core.hpnum import HPNumber
 from repro.core.params import HPParams, TABLE1_CONFIGS, suggest_params
 from repro.core.scalar import (
@@ -73,8 +72,6 @@ __all__ = [
     "HPAccumulator",
     "HPMultiAccumulator",
     "AdaptiveAccumulator",
-    "SuperAccumulator",
-    "superacc_total",
     "SmallAccumulator",
     "smallacc_total",
     "hp_dot",

@@ -136,12 +136,12 @@ class HPAccumulator:
         for x in xs:
             self.add(x)
 
-    def add_doubles(self, xs, method: str = "superacc") -> None:
+    def add_doubles(self, xs, method: str = "small") -> None:
         """Bulk-absorb an array of doubles through the vectorized engine.
 
         Bit-identical to calling :meth:`add` per element in any order
         (the order-invariance property), but with per-summand cost
-        independent of ``N`` under the default superaccumulator engine.
+        independent of ``N`` under the default small-accumulator engine.
         ``method`` is forwarded to
         :func:`repro.core.vectorized.batch_sum_doubles`.
         """

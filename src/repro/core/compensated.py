@@ -60,10 +60,12 @@ which is what the regression gate checks.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.errors import ConversionOverflowError
 from repro.observability.profile import phase as _phase
 from repro.summation.compensated import kahan_sum, neumaier_sum, two_sum
 
@@ -128,8 +130,24 @@ def merge_partials(a: CompPartial, b: CompPartial) -> CompPartial:
 
 
 def finalize_partial(partial: CompPartial) -> float:
-    """Fold the pending compensation back into the total."""
-    return float(partial.total + partial.err)
+    """Fold the pending compensation back into the total.
+
+    Raises :class:`~repro.errors.ConversionOverflowError` — the error the
+    exact engines raise — when the partial is not finite.  Any NaN or
+    infinite summand leaves ``total`` NaN or infinite, so the check
+    costs two scalar tests here instead of a pass over the input.
+    """
+    if math.isfinite(partial.total):
+        return float(partial.total + partial.err)
+    if math.isfinite(partial.max_abs):
+        # An infinite summand always shows in max_abs; a NaN one may not
+        # (a NaN never compares greater than the running maximum).
+        raise ConversionOverflowError(
+            "compensated total is not finite: the input contains NaN, "
+            f"or the sum of its {partial.count} summands overflows the "
+            "double range"
+        )
+    raise ConversionOverflowError("input contains NaN or infinity")
 
 
 def _as_batch(xs: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def hp_dot_words(
     ys: np.ndarray,
     params: HPParams,
     chunk: int = 1 << 20,
-    method: str = "superacc",
+    method: str = "small",
 ) -> Words:
     """Exact HP words of ``sum(xs * ys)`` (vectorized engine).
 
@@ -139,10 +139,10 @@ def hp_dot_words(
         raise ValueError(
             f"need equal-length 1-D arrays, got {xs.shape} and {ys.shape}"
         )
-    if method == "superacc":
-        from repro.core.superacc import SuperAccumulator
+    if method == "small":
+        from repro.core.smallacc import SmallAccumulator
 
-        engine = SuperAccumulator(params, chunk=chunk)
+        engine = SmallAccumulator(params, chunk=chunk)
         for start in range(0, len(xs), chunk):
             p, e = split_products(
                 xs[start:start + chunk], ys[start:start + chunk]

@@ -16,16 +16,16 @@ never pays for engines the process doesn't use.
 
 Registered engines
 ------------------
-``superacc``
-    Exponent-binned superaccumulator with big-integer folds
-    (:mod:`repro.core.superacc`) — PR 3's fast path.
 ``small`` (alias ``smallacc``)
-    Neal-style small superaccumulator with in-place deferred carry
+    Neal-style small accumulator with in-place deferred carry
     propagation and an optional compiled backend
-    (:mod:`repro.core.smallacc`).
+    (:mod:`repro.core.smallacc`) — the default behind every exact path.
 ``words``
-    The original word-matrix reference engine
-    (:mod:`repro.core.vectorized`), ``O(n*N)`` work.
+    The paper's word-matrix engine (:mod:`repro.core.vectorized`),
+    ``O(n*N)`` work, kept as the reference oracle.  Its adapter name
+    ``hp`` is the word-partial adapter (Listing-2 combine), whose local
+    kernel defaults to ``small``; ``HPMethod.engine`` names the kernel
+    that actually runs.
 ``comp-pairwise`` (alias ``pairwise``), ``comp-kahan``, ``comp-neumaier``
     The compensated tiers (:mod:`repro.core.compensated`): cheap,
     bounded-error float64 kernels the accuracy planner
@@ -255,18 +255,6 @@ def batch_words(
 # ---------------------------------------------------------------------------
 
 
-def _superacc_total(xs, params, chunk):
-    from repro.core.superacc import superacc_total
-
-    return superacc_total(xs, params, chunk=chunk)
-
-
-def _superacc_adapter(params, chunk=1 << 20):
-    from repro.parallel.methods import HPSuperaccMethod
-
-    return HPSuperaccMethod(params, chunk=chunk)
-
-
 def _small_total(xs, params, chunk):
     from repro.core.smallacc import smallacc_total
 
@@ -286,6 +274,8 @@ def _words_total(xs, params, chunk):
 
 
 def _words_adapter(params, chunk=1 << 20):
+    # Word partials and the Listing-2 combine; the local kernel is the
+    # adapter's default exact engine.
     from repro.parallel.methods import HPMethod
 
     return HPMethod(params)
@@ -293,25 +283,9 @@ def _words_adapter(params, chunk=1 << 20):
 
 register(
     EngineSpec(
-        name="superacc",
-        summary=(
-            "exponent-binned superaccumulator, big-int folds "
-            "(repro.core.superacc)"
-        ),
-        scaled_total=_superacc_total,
-        adapter_name="hp-superacc",
-        make_adapter=_superacc_adapter,
-        capabilities=frozenset(
-            {"exact", "order-invariant", "mergeable-partials", "gpu"}
-        ),
-    )
-)
-
-register(
-    EngineSpec(
         name="small",
         summary=(
-            "Neal small superaccumulator, deferred in-place carries, "
+            "Neal small accumulator, deferred in-place carries, "
             "optional compiled backend (repro.core.smallacc)"
         ),
         scaled_total=_small_total,
@@ -323,6 +297,7 @@ register(
                 "order-invariant",
                 "mergeable-partials",
                 "compiled-backend",
+                "gpu",
             }
         ),
         aliases=("smallacc",),

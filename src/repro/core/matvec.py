@@ -38,7 +38,7 @@ def hp_matvec(
     matrix: np.ndarray,
     x: np.ndarray,
     params: HPParams | None = None,
-    method: str = "superacc",
+    method: str = "small",
 ) -> np.ndarray:
     """Exact ``matrix @ x`` with one correctly-rounded double per row.
 
@@ -121,7 +121,7 @@ def hp_spmv(
     matrix: CSRMatrix,
     x: np.ndarray,
     params: HPParams | None = None,
-    method: str = "superacc",
+    method: str = "small",
 ) -> np.ndarray:
     """Exact sparse matrix-vector product, invariant to nonzero order."""
     x = np.ascontiguousarray(x, dtype=np.float64)

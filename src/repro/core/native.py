@@ -1,9 +1,9 @@
 """Optional compiled backend for the accumulation inner loops.
 
-The superaccumulator engines (:mod:`repro.core.superacc`,
-:mod:`repro.core.smallacc`) spend essentially all of their time in three
-tiny integer loops: scatter a mantissa's 32-bit limbs into exponent-
-indexed ``int64`` slots, and ripple deferred carries between slots.
+The exact engine (:mod:`repro.core.smallacc`) spends essentially all of
+its time in two tiny integer loops: scatter a mantissa's 32-bit limbs
+into exponent-indexed ``int64`` slots, and ripple deferred carries
+between slots.
 NumPy executes those loops through ``np.add.at`` — deterministic, but a
 dispatch-heavy scalar fallback inside NumPy.  This module compiles the
 same loops to machine code when the environment allows it, with a
@@ -42,7 +42,8 @@ Environment knobs
     Pin the resolution order's answer (``auto`` is the default chain).
 ``REPRO_NATIVE_CACHE=DIR``
     Directory for the compiled shared object (default: a content-keyed
-    subdirectory of the system temp dir).
+    subdirectory of the system temp dir); the object's file name is
+    keyed by the source hash either way.
 
 Run ``python -m repro.core.native`` to force a build eagerly and print
 the resolved backend.
@@ -88,13 +89,10 @@ class KernelSet:
     Uniform Python-side signatures (arrays are contiguous, caller-owned):
 
     * ``smallacc_scatter(xs, frac_bits, chunks)`` — two-limb Neal adds of
-      every element of ``xs`` (float64) into ``chunks`` (int64), with
-      internal carry propagation every :data:`SMALL_PROPAGATE_LIMIT`
-      adds and a final canonicalizing pass, so the array returns fully
-      propagated.
-    * ``superacc_scatter(xs, frac_bits, bins)`` — three-limb scatter,
-      bit-identical to :func:`repro.core.superacc._scatter_chunk`; no
-      internal propagation (the caller's FOLD_LIMIT accounting governs).
+      every element of ``xs`` (float64, finite and in range: the caller
+      validates) into ``chunks`` (int64), with internal carry
+      propagation every :data:`SMALL_PROPAGATE_LIMIT` adds and a final
+      canonicalizing pass, so the array returns fully propagated.
     * ``propagate(chunks)`` — one full sequential carry sweep leaving
       the canonical decomposition (non-negative 32-bit low windows,
       signed top chunk).
@@ -109,7 +107,6 @@ class KernelSet:
 
     name: str
     smallacc_scatter: Callable | None
-    superacc_scatter: Callable | None
     propagate: Callable | None
     neumaier_partial: Callable | None = None
 
@@ -119,7 +116,7 @@ class KernelSet:
 
 
 #: The pure backend: engines use their own NumPy loops.
-PURE = KernelSet("pure", None, None, None)
+PURE = KernelSet("pure", None, None)
 
 _LOCK = threading.Lock()
 _RESOLVED: dict[str, KernelSet] = {}
@@ -185,7 +182,7 @@ void repro_smallacc_propagate(int64_t *chunks, int64_t nchunks) {
     chunks[nchunks - 1] += carry;
 }
 
-/* Neal's small-superaccumulator add: two 64-bit adds per summand.
+/* Neal's small-accumulator add: two 64-bit adds per summand.
    t = e - 53 + frac_bits positions the mantissa; below-resolution bits
    truncate toward zero (the batch_from_double rule).  The mantissa's
    low 32-sub bits land in chunk t>>5, the rest in the chunk above.
@@ -223,39 +220,6 @@ void repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
         }
     }
     repro_smallacc_propagate(chunks, nchunks);
-}
-
-/* Three-limb scatter, bit-identical to superacc._scatter_chunk: the
-   32-bit mantissa halves are shifted by sub and split into three limbs
-   with weights 2**(32*idx..32*(idx+2)).  No internal propagation: the
-   caller's FOLD_LIMIT accounting provides the headroom proof. */
-void repro_superacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
-                            int64_t *bins) {
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        double x = xs[i];
-        int64_t e, mant, t, idx, sub, sign;
-        uint64_t m, lo_sh, hi_sh;
-        mant = repro_decompose(x, &e);
-        t = e - 53 + frac_bits;
-        if (t < 0) {
-            int64_t down = -t;
-            if (down > 63) down = 63;
-            mant >>= down;
-            t = 0;
-        }
-        if (mant == 0) continue;
-        idx = t >> 5;
-        sub = t & 31;
-        m = (uint64_t)mant;
-        lo_sh = (m & 0xFFFFFFFFULL) << sub;     /* < 2**63 */
-        hi_sh = (m >> 32) << sub;               /* < 2**52 */
-        sign = (x < 0.0) ? -1 : 1;
-        bins[idx]     += sign * (int64_t)(lo_sh & 0xFFFFFFFFULL);
-        bins[idx + 1] += sign * (int64_t)((lo_sh >> 32)
-                                          + (hi_sh & 0xFFFFFFFFULL));
-        bins[idx + 2] += sign * (int64_t)(hi_sh >> 32);
-    }
 }
 
 /* Sequential Neumaier (1974) compensated sum with a running max|x_i|:
@@ -307,13 +271,16 @@ def _build_cext() -> KernelSet:
     """Compile (or reuse) the shared object and wrap it with ctypes."""
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()
     cache = _cache_dir(digest)
-    so_path = os.path.join(cache, "libreprokern.so")
+    # The file name carries the source hash too, so a REPRO_NATIVE_CACHE
+    # directory shared across source versions never serves a stale
+    # object whose signatures no longer match the wrappers below.
+    so_path = os.path.join(cache, f"libreprokern-{digest[:16]}.so")
     if not os.path.exists(so_path):
         cc = _find_cc()
         if cc is None:
             raise NativeUnavailableError("no C compiler on PATH")
         os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, "reprokern.c")
+        src_path = os.path.join(cache, f"reprokern-{digest[:16]}.c")
         with open(src_path, "w", encoding="utf-8") as fh:
             fh.write(_C_SOURCE)
         tmp_path = so_path + f".tmp.{os.getpid()}"
@@ -331,33 +298,26 @@ def _build_cext() -> KernelSet:
 
     lib = ctypes.CDLL(so_path)
     c_i64 = ctypes.c_longlong
+    c_ptr = ctypes.c_void_p
     p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(c_i64)
-    lib.repro_smallacc_scatter.argtypes = [p_f64, c_i64, c_i64, p_i64, c_i64]
+    # The exact-engine kernels take raw buffer addresses (``.ctypes.data``
+    # of caller-owned contiguous arrays): converting through data_as()
+    # costs more than the whole scatter of a thousand-summand request.
+    lib.repro_smallacc_scatter.argtypes = [c_ptr, c_i64, c_i64, c_ptr, c_i64]
     lib.repro_smallacc_scatter.restype = None
-    lib.repro_superacc_scatter.argtypes = [p_f64, c_i64, c_i64, p_i64]
-    lib.repro_superacc_scatter.restype = None
-    lib.repro_smallacc_propagate.argtypes = [p_i64, c_i64]
+    lib.repro_smallacc_propagate.argtypes = [c_ptr, c_i64]
     lib.repro_smallacc_propagate.restype = None
     lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
     lib.repro_neumaier_partial.restype = None
 
     def smallacc_scatter(xs, frac_bits: int, chunks) -> None:
         lib.repro_smallacc_scatter(
-            xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
-            chunks.ctypes.data_as(p_i64), chunks.shape[0],
-        )
-
-    def superacc_scatter(xs, frac_bits: int, bins) -> None:
-        lib.repro_superacc_scatter(
-            xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
-            bins.ctypes.data_as(p_i64),
+            xs.ctypes.data, xs.shape[0], frac_bits,
+            chunks.ctypes.data, chunks.shape[0],
         )
 
     def propagate(chunks) -> None:
-        lib.repro_smallacc_propagate(
-            chunks.ctypes.data_as(p_i64), chunks.shape[0]
-        )
+        lib.repro_smallacc_propagate(chunks.ctypes.data, chunks.shape[0])
 
     def neumaier_partial(xs) -> tuple:
         out = (ctypes.c_double * 3)()
@@ -366,10 +326,7 @@ def _build_cext() -> KernelSet:
         )
         return (out[0], out[1], out[2])
 
-    return KernelSet(
-        "cext", smallacc_scatter, superacc_scatter, propagate,
-        neumaier_partial,
-    )
+    return KernelSet("cext", smallacc_scatter, propagate, neumaier_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -438,45 +395,6 @@ def _build_numba() -> KernelSet:
         _propagate(chunks)
 
     @numba.njit(cache=False)
-    def _super_scatter(bits, frac_bits, bins):  # pragma: no cover
-        for i in range(bits.shape[0]):
-            u = bits[i]
-            neg = (u >> np.uint64(63)) != np.uint64(0)
-            u = u & np.uint64(0x7FFFFFFFFFFFFFFF)
-            if u == np.uint64(0):
-                continue
-            biased = np.int64(u >> np.uint64(52))
-            frac = u & np.uint64(0xFFFFFFFFFFFFF)
-            if biased != 0:
-                e = biased - 1022
-                mant = np.int64(frac | np.uint64(1 << 52))
-            else:
-                z = 0
-                while (frac & np.uint64(1 << 52)) == np.uint64(0):
-                    frac = frac << np.uint64(1)
-                    z += 1
-                e = -1021 - z
-                mant = np.int64(frac)
-            t = e - 53 + frac_bits
-            if t < 0:
-                down = min(-t, 63)
-                mant = mant >> np.int64(down)
-                t = 0
-            if mant == 0:
-                continue
-            idx = t >> 5
-            sub = np.uint64(t & 31)
-            m = np.uint64(mant)
-            lo_sh = (m & np.uint64(0xFFFFFFFF)) << sub
-            hi_sh = (m >> np.uint64(32)) << sub
-            sign = np.int64(-1) if neg else np.int64(1)
-            bins[idx] += sign * np.int64(lo_sh & np.uint64(0xFFFFFFFF))
-            bins[idx + 1] += sign * np.int64(
-                (lo_sh >> np.uint64(32)) + (hi_sh & np.uint64(0xFFFFFFFF))
-            )
-            bins[idx + 2] += sign * np.int64(hi_sh >> np.uint64(32))
-
-    @numba.njit(cache=False)
     def _neumaier(xs, out):  # pragma: no cover - requires numba
         total = 0.0
         comp = 0.0
@@ -500,9 +418,6 @@ def _build_numba() -> KernelSet:
     def smallacc_scatter(xs, frac_bits: int, chunks) -> None:
         _small_scatter(xs.view(np.uint64), frac_bits, chunks)
 
-    def superacc_scatter(xs, frac_bits: int, bins) -> None:
-        _super_scatter(xs.view(np.uint64), frac_bits, bins)
-
     def propagate(chunks) -> None:
         _propagate(chunks)
 
@@ -518,10 +433,7 @@ def _build_numba() -> KernelSet:
     state = np.zeros(8, dtype=np.int64)
     smallacc_scatter(probe, 32, state)
     neumaier_partial(probe)
-    return KernelSet(
-        "numba", smallacc_scatter, superacc_scatter, propagate,
-        neumaier_partial,
-    )
+    return KernelSet("numba", smallacc_scatter, propagate, neumaier_partial)
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,16 @@ __all__ = ["exact_sum_abs", "exact_sumsq_fraction", "exact_norm2",
            "sqrt_correctly_rounded"]
 
 
-def exact_sum_abs(xs: np.ndarray, method: str = "superacc") -> float:
+def exact_sum_abs(xs: np.ndarray, method: str = "small") -> float:
     """Correctly-rounded ``sum(|x|)`` (BLAS asum semantics).
 
-    The default engine routes through an adaptive superaccumulator
+    The default engine routes through an adaptive small accumulator
     (exact integer total over a discovered binary point, then one
     correctly-rounded division); ``method="fraction"`` keeps the original
     rational-arithmetic loop as the oracle path.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if method == "superacc" and xs.size and bool(np.isfinite(xs).all()):
+    if method == "small" and xs.size and bool(np.isfinite(xs).all()):
         from repro.core.streaming import AdaptiveAccumulator
 
         acc = AdaptiveAccumulator()

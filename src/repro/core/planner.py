@@ -45,6 +45,7 @@ bound-margin histogram is published by the monitor at validation time.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -53,6 +54,7 @@ import numpy as np
 
 from repro.core import bounds as _bounds
 from repro.core import engines as _engines
+from repro.errors import ConversionOverflowError
 from repro.observability import journal as _journal
 from repro.observability import metrics as _obs
 
@@ -305,9 +307,12 @@ def _suggest_params(xs: np.ndarray):
     nonzero = np.abs(xs[xs != 0.0])
     if not nonzero.size:
         return HPParams(2, 1)
+    top = float(nonzero.max())
+    if not math.isfinite(top):
+        # NaN propagates through max(): one test covers NaN and inf.
+        raise ConversionOverflowError("input contains NaN or infinity")
     return suggest_params(
-        _bounds.mass_upper_bound(xs.size, float(nonzero.max())),
-        float(nonzero.min()),
+        _bounds.mass_upper_bound(xs.size, top), float(nonzero.min())
     )
 
 

@@ -1,27 +1,27 @@
-"""Neal's small superaccumulator: deferred-carry exact summation.
+"""Neal's small accumulator: the default exact engine.
 
-:mod:`repro.core.superacc` already scatters mantissa limbs into
-exponent-indexed ``int64`` bins, but it periodically *folds* the whole
-bin array into a Python big integer to reclaim overflow headroom — a
-pass through arbitrary-precision arithmetic on the hot path, and a
-partial (bins + bigint carry) that is only mergeable after re-expansion.
-Neal, *Fast exact summation using small and large superaccumulators*
-(arXiv:1505.05571, Sec. 3), shows the fold is unnecessary: leave enough
-headroom bits in each 64-bit chunk that carries can ride along unsealed,
-and **propagate** them in place — chunk ``i`` keeps its low 32-bit
-window, the signed high part moves up to chunk ``i+1`` — only once every
-few thousand (compiled path) to ~10^9 (NumPy path) adds.  The whole
-accumulator state is then *one flat ``int64`` array*, so partials merge
-by elementwise addition with no big-integer round-trip, and the engine
-maps directly onto a compiled inner loop (:mod:`repro.core.native`).
+Neal (arXiv:1505.05571, Sec. 3) shows exact summation in per-summand
+work **independent of N**: scatter each double's mantissa into
+exponent-indexed fixed-point chunks, leave enough headroom bits in each
+64-bit chunk that carries can ride along unsealed, and **propagate**
+them in place — chunk ``i`` keeps its low 32-bit window, the signed
+high part moves up to chunk ``i+1`` — only once every few thousand
+(compiled path) to ~10^9 (NumPy path) adds.  The whole accumulator
+state is *one flat ``int64`` array*, so partials merge by elementwise
+addition with no big-integer round-trip, and the engine maps directly
+onto a compiled inner loop (:mod:`repro.core.native`).  The HP words
+are produced once per reduction, bit-identical to the word-matrix
+reference engine (:mod:`repro.core.vectorized`) by construction.
 
 Chunk layout
 ------------
-Chunk geometry is **identical** to the superaccumulator's bins — chunk
-``i`` carries weight ``2**(32*i)``, sized by
-:func:`repro.core.superacc.bin_count` — so both engines decompose the
-same exact scaled-integer total and are bit-identical at the word level
-by construction::
+A double ``x`` decomposes (``frexp``) into an exact 53-bit integer
+mantissa ``mant`` and an exponent, giving the HP scaled integer
+``A = sign * mant * 2**t`` with ``t = e - 53 + 64*k``.  Magnitude bits
+below the format's resolution (``t < 0``) truncate toward zero, exactly
+as :func:`repro.core.vectorized.batch_from_double` does.  Chunk ``i``
+carries weight ``2**(32*i)`` (:data:`BIN_BITS`), and :func:`bin_count`
+chunks hold every in-range double of a format::
 
     chunk:   [ 0 ] [ 1 ] [ 2 ] ... [ nchunks-1 ]
     weight:  2^0   2^32  2^64      2^(32*(nchunks-1))
@@ -46,23 +46,24 @@ every non-top chunk to roughly one window's magnitude:
   after a propagation residue (< ``2**33``) plus ``P`` adds every
   ``|chunk| < 2**33 + P * 2**52``, which stays below ``2**63`` for
   ``P <= 2046`` (:data:`repro.core.native.SMALL_PROPAGATE_LIMIT`).
-* **Three-limb path** (the vectorized NumPy scatter, shared verbatim
-  with superacc): addends stay below ``2**33``, so the same slot-wise
-  argument allows ``P`` up to ``2**30`` — :data:`PROPAGATE_LIMIT` of
-  ``2**30 - 2`` *units*, where one unit is a ``2**33`` magnitude bound
-  and a freshly propagated array counts as one unit of residue.
+* **Three-limb path** (the vectorized NumPy scatter): the mantissa is
+  split into 32-bit halves before shifting, so every addend stays below
+  ``2**33`` and the same slot-wise argument allows ``P`` up to
+  ``2**30`` — :data:`PROPAGATE_LIMIT` of ``2**30 - 2`` *units*, where
+  one unit is a ``2**33`` magnitude bound and a freshly propagated
+  array counts as one unit of residue.
 
 Both paths land on the same chunk totals; the propagation pass is pure
 integer rearrangement and never changes the represented value.  The top
 chunk absorbs signed overflow permanently; with range-checked inputs its
 magnitude stays below ``count * 2**20`` (value bound over top-chunk
-weight), so the engine is exact to beyond ``2**40`` absorbed summands —
-far past the ``FOLD_LIMIT`` economics this replaces.
+weight), so the engine is exact to beyond ``2**40`` absorbed summands.
 
 Merging adds chunk arrays elementwise and sums the unit accounts,
 propagating first when the combined account would exceed the limit:
 exact, associative, idempotent-friendly — the same contract the paper's
-Sec. III.B.3 order-invariance argument needs.
+Sec. III.B.3 order-invariance argument needs, and the per-PE reduction
+Goodrich & Eldawy (arXiv:1605.05436) frame parallel summation around.
 
 Backend
 -------
@@ -77,33 +78,32 @@ stats``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from repro.core import native as _native
 from repro.core.params import HPParams
-from repro.core.superacc import (
-    BIN_BITS,
-    _DEFAULT_CHUNK,
-    _MANT_BITS,
-    _scatter_chunk,
-    bin_count,
-    bins_from_int,
-    check_finite_in_range,
-    fold_bins,
-)
 from repro.errors import ConversionOverflowError
 from repro.observability import metrics as _obs
 from repro.observability.profile import phase as _phase
 from repro.util.bits import MASK32
 
 __all__ = [
+    "BIN_BITS",
     "PROPAGATE_LIMIT",
     "SmallAccumulator",
-    "chunk_count",
+    "bin_count",
+    "bins_from_int",
+    "check_finite_in_range",
+    "fold_bins",
     "scatter_one",
     "smallacc_total",
 ]
+
+#: Chunk weight spacing in bits: chunk ``i`` carries weight
+#: ``2**(BIN_BITS*i)``.
+BIN_BITS = 32
 
 #: Headroom units accumulated between deferred-carry propagations on the
 #: NumPy path.  One unit bounds a chunk's magnitude by ``2**33`` (the
@@ -117,11 +117,117 @@ PROPAGATE_LIMIT = (1 << 30) - 2
 #: still leaves the kernel's ``2046 * 2**52`` budget intact.
 _NATIVE_PENDING_LIMIT = 1 << 19
 
+_MANT_BITS = 53
+_DEFAULT_CHUNK = 1 << 20
+
 _S32 = np.int64(BIN_BITS)
 _SMASK32 = np.int64(MASK32)
+# Named uint64 scalars: keeps every uint64 expression free of bare
+# Python literals (NumPy would silently promote the pair to float64 and
+# round 64-bit values through a 53-bit significand — rule HP005).
+_U32 = np.uint64(32)
+_UMASK32 = np.uint64(MASK32)
 
-#: Alias: the chunk array uses the superaccumulator's bin geometry.
-chunk_count = bin_count
+
+def bin_count(params: HPParams) -> int:
+    """Chunks needed to hold every in-range double of ``params``.
+
+    The largest scatter shift is ``t_max = e_max - 53 + 64k`` where
+    ``e_max`` is capped both by the format's range check and by the
+    double exponent ceiling (1024); two extra chunks absorb the spill of
+    the three-limb scatter at ``t_max`` and one more guards the top.
+    """
+    top_exp = min(params.whole_bits + 1, 1024)
+    t_max = max(top_exp + params.frac_bits - _MANT_BITS, 0)
+    return t_max // BIN_BITS + 3
+
+
+def fold_bins(bins) -> int:
+    """Exact signed scaled-integer total of a chunk sequence."""
+    total = 0
+    for i, limb in enumerate(bins):
+        total += int(limb) << (BIN_BITS * i)
+    return total
+
+
+def bins_from_int(value: int, nbins: int) -> tuple[int, ...]:
+    """Canonical chunk decomposition of a signed scaled integer.
+
+    Chunks ``0..nbins-2`` hold unsigned 32-bit windows; the top chunk
+    keeps the remaining signed high part, so
+    ``fold_bins(bins_from_int(v, m)) == v`` for any ``v`` whose high
+    part fits the caller's headroom (always true for in-range totals).
+    This is the unique fixed point of :meth:`SmallAccumulator.propagate`.
+    """
+    limbs = []
+    rest = value
+    for _ in range(nbins - 1):
+        limbs.append(rest & MASK32)
+        rest >>= BIN_BITS
+    limbs.append(rest)
+    return tuple(limbs)
+
+
+def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
+    """Reject NaN/inf and values outside the format's range."""
+    # Formats whose range exceeds the double range admit every finite x;
+    # their accepted interval is bounded by the largest finite double so
+    # that the fast test below still fails on -inf.
+    if params.whole_bits < 1024:
+        limit = 2.0**params.whole_bits
+        lo = -limit
+    else:
+        limit = math.inf
+        lo = -sys.float_info.max
+    # Fast accept: NaN propagates through max/min and +-inf fails the
+    # bounds, so in-range finite input costs two reductions and no
+    # temporaries; only a rejected batch pays for locating the culprit.
+    if not xs.size or (xs.max() < limit and xs.min() >= lo):
+        return
+    if not np.isfinite(xs).all():
+        raise ConversionOverflowError("input contains NaN or infinity")
+    # The asymmetric two's-complement range admits exactly -limit.
+    bad = (xs >= limit) | (xs < -limit)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise ConversionOverflowError(
+            f"element {idx} = {xs.flat[idx]!r} outside {params} range ±{limit!r}"
+        )
+
+
+def _scatter_chunk(xs: np.ndarray, params: HPParams, chunks: np.ndarray) -> None:
+    """Pure-NumPy three-limb scatter of one pre-validated piece into the
+    ``int64`` chunk array.
+
+    The mantissa is split into 32-bit halves before the ``t mod 32``
+    shift, so each summand adds three addends below ``2**33``, one per
+    chunk.  The caller guarantees headroom (fewer than
+    :data:`PROPAGATE_LIMIT` units since the last propagation).  The
+    scatter uses ``numpy.add.at`` — unbuffered, sequential and
+    deterministic (rule HP004); integer adds commute, so the result is
+    invariant to summand order regardless.
+    """
+    mantissa_f, exponent = np.frexp(np.abs(xs))
+    mant = (mantissa_f * float(1 << _MANT_BITS)).astype(np.uint64)
+    shift = exponent.astype(np.int64) - _MANT_BITS + params.frac_bits
+    # Truncate magnitude bits below the resolution toward zero (the
+    # batch_from_double rule); clamping the down-shift at 63 sends
+    # fully-sub-resolution values to zero without an out-of-range shift.
+    down = np.minimum(np.maximum(-shift, 0), 63).astype(np.uint64)
+    mant = mant >> down
+    t_eff = np.maximum(shift, 0)
+    idx = (t_eff >> 5).astype(np.intp)
+    sub = (t_eff & 31).astype(np.uint64)
+    lo_shifted = (mant & _UMASK32) << sub   # < 2**63: fits uint64
+    hi_shifted = (mant >> _U32) << sub      # < 2**52
+    sign = np.where(np.signbit(xs), np.int64(-1), np.int64(1))
+    np.add.at(chunks, idx, (lo_shifted & _UMASK32).astype(np.int64) * sign)
+    np.add.at(
+        chunks,
+        idx + 1,
+        ((lo_shifted >> _U32) + (hi_shifted & _UMASK32)).astype(np.int64) * sign,
+    )
+    np.add.at(chunks, idx + 2, (hi_shifted >> _U32).astype(np.int64) * sign)
 
 
 def scatter_one(x: float, params: HPParams, nchunks: int | None = None) -> tuple[int, ...]:
@@ -136,7 +242,7 @@ def scatter_one(x: float, params: HPParams, nchunks: int | None = None) -> tuple
     """
     if not math.isfinite(x):
         raise ConversionOverflowError(f"cannot convert {x!r} to chunks")
-    nchunks = chunk_count(params) if nchunks is None else nchunks
+    nchunks = bin_count(params) if nchunks is None else nchunks
     limbs = [0] * nchunks
     mantissa_f, exponent = math.frexp(abs(x))
     mant = int(mantissa_f * (1 << _MANT_BITS))
@@ -153,7 +259,7 @@ def scatter_one(x: float, params: HPParams, nchunks: int | None = None) -> tuple
 
 
 class SmallAccumulator:
-    """Small-superaccumulator engine: flat ``int64`` chunks, in-place
+    """Small-accumulator engine: flat ``int64`` chunks, in-place
     deferred carry propagation, optional compiled inner loops.
 
     Parameters
@@ -206,14 +312,15 @@ class SmallAccumulator:
         self.params = params
         self.chunk = int(chunk)
         self.propagate_limit = int(propagate_limit)
-        self._chunks = np.zeros(chunk_count(params), dtype=np.int64)
         self._pending = 0  # headroom units since the last propagation
         self.count = 0
-        self._kernel = _native.resolve(backend)
-        if _obs.ENABLED:
-            _obs.REGISTRY.gauge(
-                "smallacc.backend", backend=self._kernel.name
-            ).set(1)
+        with _phase("smallacc.setup"):
+            self._chunks = np.zeros(bin_count(params), dtype=np.int64)
+            self._kernel = _native.resolve(backend)
+            if _obs.ENABLED:
+                _obs.REGISTRY.gauge(
+                    "smallacc.backend", backend=self._kernel.name
+                ).set(1)
 
     @property
     def backend(self) -> str:
@@ -225,10 +332,10 @@ class SmallAccumulator:
     def absorb(self, xs: np.ndarray) -> None:
         """Scatter an array of doubles into the chunks, propagating
         deferred carries whenever the int64 headroom would run out."""
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        if xs.ndim != 1:
-            raise ValueError(f"expected 1-D input, got shape {xs.shape}")
         with _phase("smallacc.validate"):
+            xs = np.ascontiguousarray(xs, dtype=np.float64)
+            if xs.ndim != 1:
+                raise ValueError(f"expected 1-D input, got shape {xs.shape}")
             check_finite_in_range(xs, self.params)
         kern = self._kernel
         if kern.compiled:
@@ -330,15 +437,15 @@ class SmallAccumulator:
 
     @property
     def chunks(self) -> tuple[int, ...]:
-        """Complete state as a flat int tuple — unlike the
-        superaccumulator there is no side carry: the array *is* the
-        state.  Tuples from different accumulators merge by elementwise
+        """Complete state as a flat int tuple — there is no side
+        carry: the array *is* the state.  Tuples from different accumulators merge by elementwise
         addition; :func:`fold_bins` of the result is the merged total."""
         return tuple(int(v) for v in self._chunks)
 
     def total(self) -> int:
         """The exact signed scaled-integer sum absorbed so far."""
-        return fold_bins(self._chunks)
+        with _phase("smallacc.fold"):
+            return fold_bins(self._chunks)
 
     def to_words(self, check_overflow: bool = True):
         """Wrap the exact total into HP words (two's complement)."""
@@ -379,9 +486,3 @@ def smallacc_total(
     engine.absorb(xs)
     return engine.total()
 
-
-def canonical_chunks(value: int, nchunks: int) -> tuple[int, ...]:
-    """Canonical chunk decomposition of a signed scaled integer — the
-    unique fixed point of :meth:`SmallAccumulator.propagate` (identical
-    to the superaccumulator's :func:`bins_from_int` layout)."""
-    return bins_from_int(value, nchunks)

@@ -101,7 +101,7 @@ class AdaptiveAccumulator:
         for x in xs:
             self.add(float(x))
 
-    def extend_array(self, xs, method: str = "superacc") -> None:
+    def extend_array(self, xs, method: str = "small") -> None:
         """Vectorized :meth:`extend`: one widening decision and one
         engine pass for the whole array.
 
@@ -110,7 +110,7 @@ class AdaptiveAccumulator:
         is order-free — except that ``widenings`` counts at most one
         event per batch rather than one per widening summand.  ``method``
         names an engine in the :mod:`repro.core.engines` registry
-        (``"superacc"``, ``"small"``, ``"words"``); all engines yield the
+        (``"small"``, ``"words"``); both exact engines yield the
         same exact scaled total.
         """
         import numpy as np

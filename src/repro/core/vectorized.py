@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.params import HPParams
 from repro.core.scalar import from_int_scaled, Words
+from repro.core.smallacc import check_finite_in_range
 from repro.errors import AdditionOverflowError, ConversionOverflowError
 from repro.observability.profile import phase as _phase
 
@@ -66,12 +67,6 @@ _U63 = np.uint64(63)
 _ULOW10 = np.uint64(0x3FF)
 
 
-def _check_finite_in_range(x: np.ndarray, params: HPParams) -> None:
-    from repro.core.superacc import check_finite_in_range
-
-    check_finite_in_range(x, params)
-
-
 def batch_from_double(xs: np.ndarray, params: HPParams) -> np.ndarray:
     """Convert an array of doubles to HP word vectors.
 
@@ -91,7 +86,7 @@ def batch_from_double(xs: np.ndarray, params: HPParams) -> np.ndarray:
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-    _check_finite_in_range(xs, params)
+    check_finite_in_range(xs, params)
     n_vals = xs.shape[0]
     n_words = params.n
 
@@ -194,7 +189,7 @@ def batch_sum_words(
 def _finalize_total(total: int, params: HPParams, check_overflow: bool = True) -> Words:
     """Range-check a true (unwrapped) integer sum and wrap it into the
     ``64N``-bit two's-complement field — the shared tail of every exact
-    batch reduction (word-matrix, superaccumulator, dot products)."""
+    batch reduction (word-matrix, small accumulator, dot products)."""
     with _phase("hp.finalize"):
         if check_overflow and not (params.min_int <= total <= params.max_int):
             raise AdditionOverflowError(
@@ -233,7 +228,7 @@ def batch_sum_doubles(
     params: HPParams,
     chunk: int = _DEFAULT_CHUNK,
     check_overflow: bool = True,
-    method: str = "superacc",
+    method: str = "small",
     accuracy: float | None = None,
 ) -> Words:
     """Fused convert-and-sum of an array of doubles into HP words.
@@ -245,14 +240,10 @@ def batch_sum_doubles(
     ``method`` names an engine in the :mod:`repro.core.engines` registry
     — all *exact* engines produce bit-identical words:
 
-    ``"superacc"`` (default)
-        The exponent-binned superaccumulator
-        (:mod:`repro.core.superacc`): per-summand cost independent of
-        ``N``, typically several times faster for ``N >= 4``.
-    ``"small"``
-        Neal's small superaccumulator (:mod:`repro.core.smallacc`):
-        deferred in-place carries and an optional compiled backend —
-        the fastest serial engine when the native path is available.
+    ``"small"`` (default)
+        Neal's small accumulator (:mod:`repro.core.smallacc`):
+        per-summand cost independent of ``N``, deferred in-place carries
+        and an optional compiled backend.
     ``"words"``
         The original word-matrix path (``batch_from_double`` +
         column sums): ``O(n * N)`` work, kept as the reference engine.

@@ -57,9 +57,6 @@ HELP_TEXT = {
     "hp_overflow_checks": "Sign-rule overflow checks performed on adds.",
     "hp_scalar_adds": "Scalar double-to-words additions performed.",
     "hp_accumulator_adds": "HPAccumulator add operations performed.",
-    "superacc_fold_triggers": "Bin-array folds into the exact integer carry.",
-    "superacc_bins_folded": "Bins folded during headroom folds.",
-    "superacc_scatter_bytes": "Bytes scattered into superaccumulator bins.",
     "smallacc_backend":
         "Resolved smallacc kernel backend (labelled gauge, value 1).",
     "smallacc_propagate_triggers":

@@ -2,10 +2,9 @@
 order-invariance probes.
 
 The paper's central claim (Figs 1-2) is an *invariant*: conventional
-float64 summation drifts with n and with summand order, while the HP /
-superaccumulator result is exact and order-invariant.  In a service
-that is exactly the kind of property to watch continuously rather than
-assert once in CI.  :class:`DriftMonitor` does that, live:
+float64 summation drifts with n and with summand order, while the HP
+result is exact and order-invariant.  In a service that is exactly the
+kind of property to watch continuously rather than assert once in CI.  :class:`DriftMonitor` does that, live:
 
 * **Shadow sums.**  For a sampled fraction of traffic batches the
   monitor re-sums the (capped) batch two ways — the float64 naive

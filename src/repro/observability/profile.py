@@ -2,9 +2,9 @@
 
 PR 5 gave the repo metrics, traces, and drift; this module adds the
 fourth observability pillar — *profiling* — so the exactness tax the
-benchmarks quantify (BENCH_4.json: ~300x for hp-superacc over naive
-float64) can be attributed to named phases of the algorithm instead of
-one opaque total.  Three layers:
+benchmarks quantify (the HP cost factor over a naive float64 sum) can
+be attributed to named phases of the algorithm instead of one opaque
+total.  Three layers:
 
 * **Phase markers** — :func:`phase` opens a span named ``phase.<name>``
   on the default tracer.  Like the metrics/tracing gates, the module
@@ -133,8 +133,8 @@ class _PhaseContext:
 def phase(name: str, **attrs: object):
     """Mark a named phase of a reduction::
 
-        with phase("superacc.scatter"):
-            _scatter_chunk(piece, params, bins)
+        with phase("smallacc.scatter"):
+            _scatter_chunk(piece, params, chunks)
 
     Returns the shared no-op while :data:`ENABLED` is off; otherwise a
     span named ``phase.<name>`` opens on the default tracer (nesting
@@ -167,12 +167,20 @@ class profiled:
         with profiled():
             batch_sum_doubles(xs, params)
         report = ProfileReport.from_tracer()
+
+    The report is built from spans alone; ``metrics=False`` leaves the
+    metrics gate as it was, so the ``profile.*`` series are recorded
+    only where something already collects metrics.
     """
+
+    def __init__(self, metrics: bool = True) -> None:
+        self._metrics = metrics
 
     def __enter__(self) -> None:
         self._prior = (ENABLED, _tracing.ENABLED, _metrics.ENABLED)
         enable()
-        _metrics.enable()
+        if self._metrics:
+            _metrics.enable()
         return None
 
     def __exit__(self, exc_type, exc, tb) -> None:

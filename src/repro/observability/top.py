@@ -23,7 +23,7 @@ _CLEAR = "\x1b[H\x1b[J"
 #: Counter-name prefixes surfaced in the "hot counters" section, in
 #: display order.
 _HOT_PREFIXES = (
-    "global_sum.", "procpool.", "superacc.", "atomic.", "simmpi.", "gpu.",
+    "global_sum.", "procpool.", "smallacc.", "atomic.", "simmpi.", "gpu.",
     "hp.", "obsserver.", "profile.", "planner.",
 )
 

@@ -30,7 +30,6 @@ from repro.parallel.methods import (
     HallbergMethod,
     HPMethod,
     HPSmallaccMethod,
-    HPSuperaccMethod,
     ReductionMethod,
 )
 from repro.parallel.phi import offload_reduce
@@ -67,7 +66,7 @@ def make_method(
     """Resolve a method name to an adapter (paper defaults when no
     params are given: HP(6,3), Hallberg(10,38)).
 
-    HP engine-backed methods (``hp``, ``hp-superacc``, ``hp-small``)
+    HP engine-backed methods (``hp``, ``hp-small``)
     resolve through the :mod:`repro.core.engines` registry, so a newly
     registered engine is reachable here without touching this function.
     """
@@ -95,9 +94,9 @@ def make_method(
 
 
 def _extract_words(method: ReductionMethod, partial: Any) -> tuple | None:
-    if isinstance(method, (HPSuperaccMethod, HPSmallaccMethod)):
-        # Fold bins/chunks to HP words so results compare bitwise
-        # against the word-carrying hp adapter.
+    if isinstance(method, HPSmallaccMethod):
+        # Fold chunks to HP words so results compare bitwise against
+        # the word-carrying hp adapter.
         return tuple(method.words(partial))
     if isinstance(method, HPMethod):
         return tuple(partial)
@@ -227,10 +226,10 @@ def _dispatch(
         if name == "double":
             g = gpu_sum(data, "double", num_threads=pes, **kwargs)
             value, partial = g.value, None
-        elif name == "hp-superacc":
-            # Binned partials need the block-structured kernel: bins are
-            # signed lanes merged by carry-free atomic adds, which the
-            # 256-partial atomic kernel's word layout does not model.
+        elif name == "hp-small":
+            # Chunk partials need the block-structured kernel: chunks
+            # are signed lanes merged by carry-free atomic adds, which
+            # the 256-partial atomic kernel's word layout does not model.
             from repro.parallel.gpu.block_reduce import gpu_block_sum
 
             block_size = 1
@@ -238,17 +237,11 @@ def _dispatch(
                 block_size *= 2
             num_blocks = max(1, -(-pes // block_size))
             g = gpu_block_sum(
-                data, "hp-superacc", num_blocks=num_blocks,
+                data, "hp-small", num_blocks=num_blocks,
                 block_size=block_size, params=adapter.params, **kwargs,
             )
             value, partial = g.value, tuple(g.global_words)
             pes = num_blocks * block_size
-        elif name == "hp-small":
-            raise ValueError(
-                "substrate 'gpu' has no hp-small kernel; use hp-superacc "
-                "(same bin geometry) on gpu, or hp-small on "
-                "serial/threads/procs/mpi"
-            )
         elif name.startswith("comp-"):
             raise ValueError(
                 f"substrate 'gpu' has no {name} kernel; run the "

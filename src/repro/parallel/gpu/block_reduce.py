@@ -11,7 +11,7 @@ choices, and why HP words must not (verified in the tests).
 This module adds the missing device machinery — block-granular residency
 (a real GPU schedules whole thread blocks, so barriers cannot deadlock
 against the residency ceiling) and a spin barrier — plus the
-block-reduction kernel for all three methods.
+block-reduction kernel for every method.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ import numpy as np
 from repro.core.params import HPParams
 from repro.core.scalar import add_words, from_double as hp_from_double
 from repro.core.scalar import to_double as hp_to_double
-from repro.core.superacc import bin_count, fold_bins, scatter_double
+from repro.core.smallacc import (
+    bin_count,
+    bins_from_int,
+    fold_bins,
+    scatter_one,
+)
 from repro.core.vectorized import _finalize_total
 from repro.hallberg.params import HallbergParams
 from repro.hallberg.scalar import hb_add, hb_from_double, hb_to_double
@@ -141,11 +146,11 @@ def _method_ops(method_name: str, params):
     """(identity, convert, combine, finalize, decode, words_per_value,
     elementwise_merge) for the shared-memory tree.  ``decode`` maps raw
     memory words back to the method's working representation (Hallberg
-    digits and superacc bins are signed; HP words and double bits are
+    digits and hp-small chunks are signed; HP words and double bits are
     unsigned).  ``elementwise_merge`` marks representations whose words
     are independent signed lanes: the leader's global merge must be one
     atomic add per word with NO inter-word carry, because a wrap of a
-    signed lane (e.g. a negative bin crossing zero) is not a carry."""
+    signed lane (e.g. a negative chunk crossing zero) is not a carry."""
     if method_name == "double":
         return (
             (0,),
@@ -168,19 +173,24 @@ def _method_ops(method_name: str, params):
             params.n,
             False,
         )
-    if method_name == "hp-superacc":
+    if method_name == "hp-small":
         if not isinstance(params, HPParams):
-            raise TypeError("hp-superacc kernel requires HPParams")
-        nbins = bin_count(params)
+            raise TypeError("hp-small kernel requires HPParams")
+        nchunks = bin_count(params)
+        # Thread and tree combines canonicalize, so every stored lane is
+        # a 32-bit window (or the small signed top) and the leaders'
+        # lane-wise atomic adds keep far inside a 64-bit memory word.
         return (
-            (0,) * nbins,
-            lambda x: scatter_double(x, params, nbins),
-            lambda a, b: tuple(x + y for x, y in zip(a, b)),
-            lambda bins: hp_to_double(
-                _finalize_total(fold_bins(bins), params), params
+            (0,) * nchunks,
+            lambda x: scatter_one(x, params, nchunks),
+            lambda a, b: bins_from_int(
+                fold_bins(a) + fold_bins(b), nchunks
+            ),
+            lambda chunks: hp_to_double(
+                _finalize_total(fold_bins(chunks), params), params
             ),
             _decode_signed,
-            nbins,
+            nchunks,
             True,
         )
     if method_name == "hallberg":
@@ -290,7 +300,7 @@ def gpu_block_sum(
                         break
                     old = observed
             elif elementwise_merge:
-                # Signed independent lanes (superacc bins): one atomic
+                # Signed independent lanes (hp-small chunks): one atomic
                 # add per word, two's-complement wrap is the signed add.
                 for w in range(words_per - 1, -1, -1):
                     addend = words[w] & MASK64
@@ -315,7 +325,7 @@ def gpu_block_sum(
         steps = launch_blocks(device, blocks)
 
     raw = mem.dump(n, words_per)
-    signed_repr = method_name in ("hallberg", "hp-superacc")
+    signed_repr = method_name in ("hallberg", "hp-small")
     global_words = decode(tuple(raw)) if signed_repr else tuple(raw)
     partials = [
         finalize(decode(load_words(slot_addr(b, 0))))

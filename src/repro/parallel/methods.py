@@ -21,8 +21,7 @@ from repro.core import compensated as _comp
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
 from repro.core.scalar import Words, add_words_checked, to_double
-from repro.core.smallacc import SmallAccumulator
-from repro.core.superacc import SuperAccumulator, bin_count, fold_bins
+from repro.core.smallacc import SmallAccumulator, bin_count, fold_bins
 from repro.core.vectorized import _finalize_total, batch_sum_doubles
 from repro.errors import SummandLimitError
 from repro.hallberg.accumulator import HallbergAccumulator
@@ -38,7 +37,6 @@ __all__ = [
     "CompensatedMethod",
     "DoubleMethod",
     "HPMethod",
-    "HPSuperaccMethod",
     "HPSmallaccMethod",
     "HallbergMethod",
     "standard_methods",
@@ -165,9 +163,9 @@ class CompensatedMethod(ReductionMethod[tuple]):
 class HPMethod(ReductionMethod[tuple]):
     """The HP method: exact local sums, exact Listing-2 combines.
 
-    Partials are word tuples; ``vectorized`` selects the NumPy batch
-    engine (default) or the scalar accumulator (reference semantics,
-    identical words).
+    Partials are word tuples; ``vectorized`` selects the batch engine
+    named by ``engine`` (default ``"small"``) or the scalar accumulator
+    (reference semantics, identical words).
     """
 
     name = "hp"
@@ -176,7 +174,7 @@ class HPMethod(ReductionMethod[tuple]):
         self,
         params: HPParams,
         vectorized: bool = True,
-        engine: str = "superacc",
+        engine: str = "small",
     ) -> None:
         self.params = params
         self.vectorized = vectorized
@@ -207,64 +205,20 @@ class HPMethod(ReductionMethod[tuple]):
         return 8 * self.params.n
 
 
-class HPSuperaccMethod(ReductionMethod[tuple]):
-    """The HP method with exponent-binned partials.
+class HPSmallaccMethod(ReductionMethod[tuple]):
+    """The HP method with Neal small-accumulator partials.
 
     Where :class:`HPMethod` ships ``N``-word vectors between PEs, this
-    adapter keeps partials in superaccumulator form
-    (:mod:`repro.core.superacc`): a tuple of signed integer bins with bin
-    ``i`` weighted ``2**(32*i)``.  Bins merge by plain elementwise
-    addition — exact, associative, and carry-free — so any combine tree
-    over any partition yields the same fold, and the fold is converted to
-    HP words (and range-checked) exactly once at :meth:`finalize`.  The
-    resulting words are bit-identical to :class:`HPMethod` over the same
-    data.
-    """
-
-    name = "hp-superacc"
-
-    def __init__(self, params: HPParams, chunk: int = 1 << 20) -> None:
-        self.params = params
-        self.chunk = chunk
-        self.nbins = bin_count(params)
-
-    def identity(self) -> tuple:
-        return (0,) * self.nbins
-
-    def local_reduce(self, xs: np.ndarray) -> tuple:
-        engine = SuperAccumulator(self.params, chunk=self.chunk)
-        engine.absorb(np.asarray(xs, dtype=np.float64))
-        return engine.bins
-
-    def combine(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def words(self, partial: tuple) -> Words:
-        """Fold a bin partial into range-checked HP words."""
-        return _finalize_total(fold_bins(partial), self.params, True)
-
-    def finalize(self, partial: tuple) -> float:
-        return to_double(self.words(partial), self.params)
-
-    def partial_nbytes(self) -> int:
-        # 16-byte signed bins on the wire (SuperaccBinsType): int64
-        # scatter headroom plus fold carry never exceeds 128 bits.
-        return 16 * self.nbins
-
-
-class HPSmallaccMethod(ReductionMethod[tuple]):
-    """The HP method with Neal small-superaccumulator partials.
-
-    Like :class:`HPSuperaccMethod`, partials are tuples of signed
-    integer chunks with chunk ``i`` weighted ``2**(32*i)`` (the two
-    engines share the same geometry), merging by plain elementwise
-    addition.  The difference is the local engine: deferred in-place
-    carry propagation with an optional compiled inner loop
-    (:mod:`repro.core.native`), and **no** big-integer fold — the chunk
-    array *is* the whole local state, so partials are canonicalized
-    (fully propagated) before shipping and merges stay idempotent-safe
-    under re-delivery of an identity partial.  Words are bit-identical
-    to :class:`HPMethod` / :class:`HPSuperaccMethod` over the same data.
+    adapter keeps partials in chunk form (:mod:`repro.core.smallacc`): a
+    tuple of signed integer chunks with chunk ``i`` weighted
+    ``2**(32*i)``.  Chunks merge by plain elementwise addition — exact,
+    associative and carry-free — so any combine tree over any partition
+    yields the same fold, and the fold is converted to HP words (and
+    range-checked) exactly once at :meth:`finalize`.  The chunk array
+    *is* the whole local state, so partials are canonicalized (fully
+    propagated) before shipping and merges stay idempotent-safe under
+    re-delivery of an identity partial.  Words are bit-identical to
+    :class:`HPMethod` over the same data.
     """
 
     name = "hp-small"
@@ -302,8 +256,8 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         return to_double(self.words(partial), self.params)
 
     def partial_nbytes(self) -> int:
-        # Same 16-byte signed wire slots as SuperaccBinsType: combined
-        # (unpropagated) partials can exceed 64 bits per chunk.
+        # 16-byte signed wire slots (SmallaccChunksType): combined
+        # partials can exceed 64 bits per chunk.
         return 16 * self.nchunks
 
 

@@ -3,7 +3,7 @@
 Every other substrate in :mod:`repro.parallel` is either simulated
 (``simmpi``, ``phi``, ``gpu``) or runs on Python threads; this one puts
 the reduction on real cores.  The design follows the shape that Neal's
-superaccumulator paper (arXiv:1505.05571) and Goodrich & Eldawy's
+small-accumulator paper (arXiv:1505.05571) and Goodrich & Eldawy's
 parallel summation analysis (arXiv:1605.05436) identify as the key to
 efficient exact parallel reduction: per-PE partials that are *tiny* and
 merge *carry-free*, so the only data that crosses a process boundary is
@@ -15,7 +15,7 @@ Three pieces:
   ``multiprocessing.shared_memory`` segment; every worker attaches a
   read-only ``numpy`` view over the same physical pages at pool start.
   Task messages are just ``(method, lo, hi)`` index ranges, and results
-  are the method's partial (HP words, superaccumulator bins, a double)
+  are the method's partial (HP words, small-accumulator chunks, a double)
   plus a small metadata dict.
 * **Out-of-core streaming.**  For inputs larger than RAM the summands
   never enter a Python process wholesale: workers open the ``.npy`` file
@@ -40,7 +40,7 @@ spans (plus any nested engine spans) in their private tracer and ship
 them back with the partials, where
 :meth:`repro.observability.tracing.Tracer.record_imported` re-homes them
 under the master's reduce span.  Worker-side counters (for example
-``superacc.fold_triggers``) are merged into the master registry the same
+``smallacc.propagate_triggers``) are merged into the master registry the same
 way.
 """
 

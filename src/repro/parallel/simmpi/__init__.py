@@ -14,7 +14,7 @@ from repro.parallel.simmpi.datatypes import (
     DoubleType,
     HallbergPartialType,
     HPWordsType,
-    SuperaccBinsType,
+    SmallaccChunksType,
     datatype_for_method,
 )
 from repro.parallel.simmpi.reduce import (
@@ -31,7 +31,7 @@ __all__ = [
     "Datatype",
     "DoubleType",
     "HPWordsType",
-    "SuperaccBinsType",
+    "SmallaccChunksType",
     "HallbergPartialType",
     "datatype_for_method",
     "scatterv",

@@ -21,7 +21,6 @@ __all__ = [
     "CompensatedPartialType",
     "DoubleType",
     "HPWordsType",
-    "SuperaccBinsType",
     "SmallaccChunksType",
     "HallbergPartialType",
     "datatype_for_method",
@@ -91,56 +90,47 @@ class HPWordsType(Datatype):
         return struct.unpack(self._fmt, buf)
 
 
-class SuperaccBinsType(Datatype):
-    """Superaccumulator bin partials: fixed-size signed 128-bit bins.
+class SmallaccChunksType(Datatype):
+    """Small-accumulator chunk partials: fixed-size signed 128-bit chunks.
 
-    A bin holds an int64 scatter residue plus a 32-bit window of the
-    fold carry, and combine trees add bins across ranks, so the wire
-    slot is 16 bytes signed little-endian per bin — enough headroom that
-    no realistic reduction tree can overflow a slot.
+    Chunk ``i`` is weighted ``2**(32*i)``.  Partials ship canonicalized
+    (32-bit windows plus a signed top), but combine trees add chunks
+    across ranks and may widen any slot past 64 bits before the final
+    fold, so the wire slot is 16 bytes signed little-endian per chunk —
+    enough headroom that no realistic reduction tree can overflow a
+    slot.
     """
 
-    _BIN_BYTES = 16
+    _CHUNK_BYTES = 16
 
     def __init__(self, params: HPParams) -> None:
-        from repro.core.superacc import bin_count
+        from repro.core.smallacc import bin_count
 
         self.params = params
-        self.nbins = bin_count(params)
+        self.nchunks = bin_count(params)
 
     @property
     def nbytes(self) -> int:
-        return self._BIN_BYTES * self.nbins
+        return self._CHUNK_BYTES * self.nchunks
 
     def pack(self, value: tuple) -> bytes:
-        if len(value) != self.nbins:
+        if len(value) != self.nchunks:
             raise ValueError(
-                f"expected {self.nbins} bins for {self.params}, "
+                f"expected {self.nchunks} chunks for {self.params}, "
                 f"got {len(value)}"
             )
         return b"".join(
-            int(limb).to_bytes(self._BIN_BYTES, "little", signed=True)
+            int(limb).to_bytes(self._CHUNK_BYTES, "little", signed=True)
             for limb in value
         )
 
     def unpack(self, buf: bytes) -> tuple:
         self.check(buf)
-        size = self._BIN_BYTES
+        size = self._CHUNK_BYTES
         return tuple(
             int.from_bytes(buf[i * size : (i + 1) * size], "little", signed=True)
-            for i in range(self.nbins)
+            for i in range(self.nchunks)
         )
-
-
-class SmallaccChunksType(SuperaccBinsType):
-    """Small-superaccumulator chunk partials.
-
-    The small engine shares the superaccumulator's bin geometry (chunk
-    ``i`` weighted ``2**(32*i)``, same count), so the wire layout is the
-    same 16-byte signed slots; only the semantic label differs — chunks
-    ship canonicalized (32-bit windows plus a signed top), and combine
-    trees may widen any slot past 64 bits before the final fold.
-    """
 
 
 class CompensatedPartialType(Datatype):
@@ -200,7 +190,6 @@ def datatype_for_method(method) -> Datatype:
         HallbergMethod,
         HPMethod,
         HPSmallaccMethod,
-        HPSuperaccMethod,
     )
 
     if isinstance(method, DoubleMethod):
@@ -209,8 +198,6 @@ def datatype_for_method(method) -> Datatype:
         return CompensatedPartialType()
     if isinstance(method, HPSmallaccMethod):
         return SmallaccChunksType(method.params)
-    if isinstance(method, HPSuperaccMethod):
-        return SuperaccBinsType(method.params)
     if isinstance(method, HPMethod):
         return HPWordsType(method.params)
     if isinstance(method, HallbergMethod):

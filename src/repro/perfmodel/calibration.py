@@ -40,8 +40,9 @@ __all__ = [
 
 N = 1 << 25
 
-#: Schema tag of the cost file ``repro profile --calibrate`` emits.
-MEASURED_SCHEMA = "repro.profile.calibration/1"
+#: Schema tag of the cost file ``repro profile --calibrate`` emits; /2
+#: keys the exact engine's time as ``hp-small``.
+MEASURED_SCHEMA = "repro.profile.calibration/2"
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def measured_anchors(measured: Mapping[str, float],
 
     ``measured`` maps engine keys to best-of wall seconds for an
     ``n``-summand batch sum, as emitted by ``repro profile --calibrate``:
-    ``double`` (naive ``np.sum``), ``hp-superacc``
+    ``double`` (naive ``np.sum``), ``hp-small``
     (:func:`~repro.core.vectorized.batch_sum_doubles`) and ``hallberg``
     (:func:`~repro.hallberg.vectorized.hb_batch_sum_doubles`).  Ratio
     anchors are preferred over absolute ones where possible — they
@@ -134,15 +135,15 @@ def measured_anchors(measured: Mapping[str, float],
             f"double, {n} summands, 1 thread (s)",
             t_dbl, measured["double"],
         ))
-    if "double" in measured and "hp-superacc" in measured:
+    if "double" in measured and "hp-small" in measured:
         out.append(MeasuredAnchor(
-            "HP(6,3) superacc / double ratio",
-            t_hp / t_dbl, measured["hp-superacc"] / measured["double"],
+            "HP(6,3) small / double ratio",
+            t_hp / t_dbl, measured["hp-small"] / measured["double"],
         ))
-    if "hp-superacc" in measured and "hallberg" in measured:
+    if "hp-small" in measured and "hallberg" in measured:
         out.append(MeasuredAnchor(
-            "Hallberg(10,38) / HP superacc ratio",
-            t_hb / t_hp, measured["hallberg"] / measured["hp-superacc"],
+            "Hallberg(10,38) / HP small ratio",
+            t_hb / t_hp, measured["hallberg"] / measured["hp-small"],
         ))
     return out
 
@@ -151,7 +152,7 @@ def render_measured(measured: Mapping[str, float], n: int = N) -> str:
     """The residual table: anchor, model, this machine, measured/model."""
     anchors = measured_anchors(measured, n)
     if not anchors:
-        return "no measured anchors (need double/hp-superacc/hallberg keys)"
+        return "no measured anchors (need double/hp-small/hallberg keys)"
     rows = [
         (a.name, a.model_value, a.measured_value, a.residual)
         for a in anchors

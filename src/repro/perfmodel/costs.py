@@ -107,7 +107,6 @@ PLANNER_UNIT_COSTS: Mapping[str, float] = {
     "comp-kahan": 7.0,
     "comp-neumaier": 10.0,
     "small": 45.0,
-    "superacc": 70.0,
     "words": 260.0,
 }
 
@@ -120,7 +119,7 @@ def planner_unit_costs(
     ``measured`` is the mapping a ``repro profile --calibrate`` document
     carries (engine key -> best-of wall seconds; see
     :data:`repro.perfmodel.calibration.MEASURED_SCHEMA`).  When it holds
-    both ``double`` and ``hp-superacc``, the measured ratio re-anchors
+    both ``double`` and ``hp-small``, the measured ratio re-anchors
     the exact-engine entries — the correction PR 6's measured-anchor
     residuals exist to absorb — while the compensated tiers stay pinned
     to the double pass they are structurally multiples of.
@@ -129,10 +128,10 @@ def planner_unit_costs(
     if not measured:
         return costs
     t_dbl = measured.get("double")
-    t_sup = measured.get("hp-superacc")
-    if not t_dbl or not t_sup or t_dbl <= 0 or t_sup <= 0:
+    t_hp = measured.get("hp-small")
+    if not t_dbl or not t_hp or t_dbl <= 0 or t_hp <= 0:
         return costs
-    scale = (t_sup / t_dbl) / PLANNER_UNIT_COSTS["superacc"]
-    for name in ("small", "superacc", "words"):
+    scale = (t_hp / t_dbl) / PLANNER_UNIT_COSTS["small"]
+    for name in ("small", "words"):
         costs[name] = PLANNER_UNIT_COSTS[name] * scale
     return costs

@@ -412,25 +412,24 @@ class TestHP007TimingUnderLock:
 class TestHP012EngineRegistryBypass:
     def test_bad_direct_import(self):
         assert "HP012" in rules_in("""
-            from repro.core.superacc import superacc_total
+            from repro.core.smallacc import smallacc_total
         """, "src/repro/apps/_fixture.py")
 
     def test_bad_each_engine_function(self):
         src = """
-            from repro.core.superacc import superacc_total
             from repro.core.smallacc import smallacc_total
             from repro.core.vectorized import words_scaled_total
         """
         assert rules_in(src, "src/repro/bench/_fixture.py").count(
             "HP012"
-        ) == 3
+        ) == 2
 
     def test_bad_dotted_call(self):
         assert "HP012" in rules_in("""
-            from repro.core import superacc
+            from repro.core import smallacc
 
             def f(xs, params):
-                return superacc.superacc_total(xs, params)
+                return smallacc.smallacc_total(xs, params)
         """, "src/repro/apps/_fixture.py")
 
     def test_good_registry_dispatch(self):
@@ -446,16 +445,14 @@ class TestHP012EngineRegistryBypass:
         # classes remain importable for streaming/merge use.
         assert rules_in("""
             from repro.core.smallacc import SmallAccumulator
-            from repro.core.superacc import SuperAccumulator
         """, "src/repro/parallel/_fixture.py") == []
 
     def test_hosts_are_exempt(self):
         src = """
-            from repro.core.superacc import superacc_total
+            from repro.core.smallacc import smallacc_total
         """
         for host in (
             "src/repro/core/engines.py",
-            "src/repro/core/superacc.py",
             "src/repro/core/smallacc.py",
             "src/repro/core/vectorized.py",
             "src/repro/core/__init__.py",

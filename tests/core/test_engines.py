@@ -20,7 +20,12 @@ P = HPParams(3, 2)
 
 class TestRegistry:
     def test_expected_engines_present(self):
-        assert set(engines.names()) >= {"superacc", "small", "words"}
+        assert set(engines.names()) >= {"small", "words"}
+
+    def test_small_is_the_gpu_capable_engine(self):
+        gpu = [spec.name for spec in engines.specs()
+               if "gpu" in spec.capabilities]
+        assert gpu == ["small"]
 
     def test_alias_resolves(self):
         assert engines.get("smallacc") is engines.get("small")
@@ -38,7 +43,6 @@ class TestRegistry:
 
     def test_adapter_names_cover_registry(self):
         names = engines.adapter_names()
-        assert "hp-superacc" in names
         assert "hp-small" in names
         assert "hp" in names
 
@@ -54,7 +58,6 @@ class TestRegistry:
 
     def test_engine_for_adapter_inverts(self):
         assert engines.engine_for_adapter("hp-small") == "small"
-        assert engines.engine_for_adapter("hp-superacc") == "superacc"
         assert engines.engine_for_adapter("hp") == "words"
         assert engines.engine_for_adapter("double") is None
 
@@ -64,7 +67,7 @@ class TestDispatch:
         xs = rng.uniform(-1.0, 1.0, 500)
         totals = {
             name: engines.scaled_total(xs, P, 1 << 20, name)
-            for name in ("superacc", "small", "words")
+            for name in engines.exact_names()
         }
         assert len(set(totals.values())) == 1
 

@@ -15,8 +15,12 @@ import pytest
 
 from repro.core import native
 from repro.core.params import HPParams
-from repro.core.smallacc import SmallAccumulator
-from repro.core.superacc import SuperAccumulator, bin_count, bins_from_int
+from repro.core.smallacc import (
+    SmallAccumulator,
+    bin_count,
+    bins_from_int,
+    fold_bins,
+)
 
 from tests.core.test_superacc import adversarial_pool
 
@@ -98,13 +102,13 @@ class TestKernelBitIdentity:
         # The kernel returns the array canonical, so raw comparison holds.
         assert tuple(int(v) for v in chunks) == pure.chunks
 
-    def test_superacc_scatter_matches_pure(self, rng, hp_params):
+    def test_engine_absorb_matches_pure(self, rng, hp_params):
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
-        compiled = SuperAccumulator(hp_params, backend="auto")
+        compiled = SmallAccumulator(hp_params, backend="auto")
         assert compiled.backend == kern.name
         compiled.absorb(xs)
-        pure = SuperAccumulator(hp_params, backend="pure")
+        pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
         assert compiled.to_words() == pure.to_words()
 
@@ -114,8 +118,6 @@ class TestKernelBitIdentity:
             [int(v) for v in rng.integers(-(2**40), 2**40, 8)],
             dtype=np.int64,
         )
-        from repro.core.superacc import fold_bins
-
         value = fold_bins(limbs)
         kern.propagate(limbs)
         assert tuple(int(v) for v in limbs) == bins_from_int(value, 8)
@@ -165,10 +167,10 @@ class TestEngineBackendSelection:
     def test_smallacc_pure_pin(self):
         assert SmallAccumulator(P, backend="pure").backend == "pure"
 
-    def test_superacc_defaults_pure(self):
-        # The superaccumulator keeps its established pure path unless a
-        # caller opts in; smallacc defaults to auto.
-        assert SuperAccumulator(P).backend == "pure"
+    def test_smallacc_defaults_auto(self, clean_env):
+        # The default exact engine takes whatever the resolution chain
+        # yields: the compiled kernel where one builds.
+        assert SmallAccumulator(P).backend == native.backend_name()
 
     def test_smallacc_honors_force_pure(self, clean_env):
         clean_env.setenv("REPRO_FORCE_PURE", "1")

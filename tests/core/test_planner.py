@@ -80,11 +80,13 @@ class TestPlan:
         assert decision.engine != "comp-pairwise"
 
     def test_measured_refit_scales_exact_tiers(self):
-        # A calibration where hp-superacc is only 2x the double baseline
+        # A calibration where hp-small is only 2x the double baseline
         # shrinks the exact engines' unit costs proportionally.
-        costs = planner_unit_costs({"double": 1.0, "hp-superacc": 2.0})
-        assert costs["superacc"] == pytest.approx(2.0)
-        assert costs["small"] < PLANNER_UNIT_COSTS["small"]
+        costs = planner_unit_costs({"double": 1.0, "hp-small": 2.0})
+        assert costs["small"] == pytest.approx(2.0)
+        assert costs["words"] == pytest.approx(
+            2.0 * PLANNER_UNIT_COSTS["words"] / PLANNER_UNIT_COSTS["small"]
+        )
         # Inexact tiers are not refit by the HP calibration pair.
         assert costs["comp-pairwise"] == PLANNER_UNIT_COSTS["comp-pairwise"]
 

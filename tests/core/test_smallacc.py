@@ -1,7 +1,7 @@
-"""Property tests pinning the small superaccumulator to the word path.
+"""Property tests pinning the small accumulator to the word path.
 
-The small engine (:mod:`repro.core.smallacc`) replaces the bigint fold
-with in-place deferred carry propagation; like the superacc tests, every
+The small engine (:mod:`repro.core.smallacc`) keeps its whole state in
+one int64 chunk array with in-place deferred carry propagation; every
 assertion here is *bit identity* — with the words engine, the scalar
 oracle (:func:`scatter_one`), and across merges — never closeness.  The
 carry machinery gets targeted stress via a tiny ``propagate_limit`` and
@@ -18,13 +18,13 @@ from repro.core.params import HPParams
 from repro.core.smallacc import (
     PROPAGATE_LIMIT,
     SmallAccumulator,
-    canonical_chunks,
-    chunk_count,
+    bin_count,
+    bins_from_int,
+    fold_bins,
     scatter_one,
     smallacc_total,
 )
-from repro.core.superacc import bins_from_int, fold_bins, superacc_total
-from repro.core.vectorized import batch_sum_doubles
+from repro.core.vectorized import batch_sum_doubles, words_scaled_total
 from repro.errors import (
     AdditionOverflowError,
     ConversionOverflowError,
@@ -44,7 +44,7 @@ class TestDeferredCarryBound:
         assert (PROPAGATE_LIMIT + 1) * (1 << 33) < (1 << 63)
 
     def test_chunk_count_matches_bins(self, hp_params):
-        assert chunk_count(hp_params) >= 3
+        assert bin_count(hp_params) >= 3
 
     def test_propagate_limit_validation(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestDeferredCarryBound:
         """Force a propagation on every chunk boundary with the smallest
         legal limits and confirm exactness is untouched."""
         xs = adversarial_pool(P, rng, 512)
-        reference = superacc_total(xs, P)
+        reference = words_scaled_total(xs, P)
         for limit in (1, 2, 3, 7):
             engine = SmallAccumulator(
                 P, chunk=5, backend="pure", propagate_limit=limit
@@ -71,7 +71,7 @@ class TestDeferredCarryBound:
         for i in range(0, len(xs), 50):
             engine.absorb(xs[i : i + 50])
             engine.propagate()
-        assert engine.total() == superacc_total(xs, P)
+        assert engine.total() == words_scaled_total(xs, P)
 
 
 class TestScalarOracle:
@@ -79,7 +79,7 @@ class TestScalarOracle:
         """Summing per-value chunk tuples elementwise reproduces the
         engine's canonical chunk state exactly — the regress anchor."""
         xs = adversarial_pool(hp_params, rng, 400)
-        nchunks = chunk_count(hp_params)
+        nchunks = bin_count(hp_params)
         acc = [0] * nchunks
         for x in xs:
             for i, limb in enumerate(scatter_one(float(x), hp_params)):
@@ -87,7 +87,7 @@ class TestScalarOracle:
         engine = SmallAccumulator(hp_params, backend="pure")
         engine.absorb(xs)
         engine.propagate()
-        assert engine.chunks == canonical_chunks(fold_bins(acc), nchunks)
+        assert engine.chunks == bins_from_int(fold_bins(acc), nchunks)
         assert fold_bins(acc) == engine.total()
 
     def test_scatter_one_rejects_nonfinite(self, hp_params):
@@ -123,10 +123,10 @@ class TestBitIdentity:
             batch_sum_doubles(xs, hp_params, method="words")
         )
 
-    def test_matches_superacc(self, rng, hp_params):
+    def test_matches_words_total(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 900)
         assert smallacc_total(xs, hp_params, backend="pure") == (
-            superacc_total(xs, hp_params)
+            words_scaled_total(xs, hp_params)
         )
 
     def test_permutation_invariant(self, rng, hp_params):
@@ -153,17 +153,17 @@ class TestBitIdentity:
         assert engine.total() == 0
         assert engine.to_double() == 0.0
         engine.propagate()
-        assert engine.chunks == (0,) * chunk_count(hp_params)
+        assert engine.chunks == (0,) * bin_count(hp_params)
 
-    def test_nonfinite_rejection_parity_with_superacc(self, hp_params):
-        """inf/NaN raise the same error type, and a partial batch leaves
-        no residue in either engine."""
+    def test_nonfinite_rejection_parity_with_words(self, hp_params):
+        """inf/NaN raise the same error type in both exact engines, and
+        a partial batch leaves no residue."""
         for bad in (float("nan"), float("inf"), float("-inf")):
             xs = np.array([1.0, bad, 2.0])
             with pytest.raises(ConversionOverflowError):
                 smallacc_total(xs, hp_params)
             with pytest.raises(ConversionOverflowError):
-                superacc_total(xs, hp_params)
+                words_scaled_total(xs, hp_params)
             engine = SmallAccumulator(hp_params, backend="pure")
             with pytest.raises(ConversionOverflowError):
                 engine.absorb(xs)
@@ -255,7 +255,7 @@ class TestMergeAlgebra:
         a.absorb(xs[:200])
         b.absorb(xs[200:])
         a.merge(b)
-        assert a.total() == superacc_total(xs, P)
+        assert a.total() == words_scaled_total(xs, P)
 
 
 class TestCanonicalForm:
@@ -265,14 +265,14 @@ class TestCanonicalForm:
         engine.absorb(xs)
         engine.propagate()
         assert engine.chunks == bins_from_int(
-            engine.total(), chunk_count(hp_params)
+            engine.total(), bin_count(hp_params)
         )
 
     def test_canonical_chunks_roundtrip(self, rng, hp_params):
-        nchunks = chunk_count(hp_params)
+        nchunks = bin_count(hp_params)
         for _ in range(20):
             value = int(rng.integers(-(2**40), 2**40))
-            assert fold_bins(canonical_chunks(value, nchunks)) == value
+            assert fold_bins(bins_from_int(value, nchunks)) == value
 
     def test_reset(self, rng):
         engine = SmallAccumulator(P)

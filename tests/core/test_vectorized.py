@@ -192,10 +192,14 @@ class TestBatchToDouble:
 class TestEngineParity:
     """batch_sum_doubles(method=...) is a pure engine switch."""
 
-    def test_default_is_superacc(self, rng):
+    def test_default_is_small(self, rng):
+        import inspect
+
         xs = rng.uniform(-1.0, 1.0, 1000)
+        default = inspect.signature(batch_sum_doubles).parameters["method"]
+        assert default.default == "small"
         assert batch_sum_doubles(xs, P) == batch_sum_doubles(
-            xs, P, method="superacc"
+            xs, P, method="small"
         )
 
     def test_words_engine_matches(self, rng, hp_params):
@@ -203,5 +207,5 @@ class TestEngineParity:
             rng.uniform(-40, 40, 2000)
         )
         assert batch_sum_doubles(xs, hp_params, method="words") == (
-            batch_sum_doubles(xs, hp_params, method="superacc")
+            batch_sum_doubles(xs, hp_params, method="small")
         )

@@ -27,23 +27,23 @@ def clean_gates():
 
 
 class TestProfileCommand:
-    def test_serial_superacc_renders_cost_table(self, capsys):
-        status = main(["profile", "--engine", "hp-superacc",
+    def test_serial_small_renders_cost_table(self, capsys):
+        status = main(["profile", "--engine", "hp-small",
                        "--n", "50000", "--no-sample"])
         assert status == 0
         out = capsys.readouterr().out
-        assert "superacc.scatter" in out
+        assert "smallacc.scatter" in out
         assert "% wall" in out
         assert "of wall, master self-time" in out
 
     def test_json_output_attributes_most_of_the_wall(self, capsys):
-        status = main(["profile", "--engine", "hp-superacc",
+        status = main(["profile", "--engine", "hp-small",
                        "--n", "200000", "--no-sample", "--json"])
         assert status == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "profile"
         names = {row["phase"] for row in doc["phases"]}
-        assert {"superacc.scatter", "hp.round", "hp.finalize"} <= names
+        assert {"smallacc.scatter", "hp.round", "hp.finalize"} <= names
         # The acceptance bar: named phases explain >= 90% of the run.
         assert doc["attributed_fraction"] >= 0.9
 
@@ -51,7 +51,10 @@ class TestProfileCommand:
         fg = tmp_path / "profile.collapsed"
         ss = tmp_path / "profile.speedscope.json"
         pf = tmp_path / "profile.perfetto.json"
-        status = main(["profile", "--engine", "hp-superacc",
+        # The sampler needs a run several intervals long (2 ms at
+        # 500 Hz); the small engine finishes 3e5 summands in about one,
+        # the words engine in ~100 ms.
+        status = main(["profile", "--engine", "hp-words",
                        "--n", "300000", "--sample-hz", "500",
                        "--flamegraph", str(fg), "--speedscope", str(ss),
                        "--perfetto", str(pf)])
@@ -73,7 +76,7 @@ class TestProfileCommand:
         assert "hallberg.convert" in out
 
     def test_threads_substrate(self, capsys):
-        status = main(["profile", "--engine", "hp-superacc",
+        status = main(["profile", "--engine", "hp-small",
                        "--n", "50000", "--substrate", "threads",
                        "--pes", "2", "--no-sample", "--json"])
         assert status == 0
@@ -83,7 +86,7 @@ class TestProfileCommand:
                 "threads.combine"} <= names
 
     def test_procs_substrate_has_worker_rows(self, capsys):
-        status = main(["profile", "--engine", "hp-superacc",
+        status = main(["profile", "--engine", "hp-small",
                        "--n", "50000", "--substrate", "procs",
                        "--pes", "2", "--no-sample", "--json"])
         assert status == 0
@@ -93,13 +96,13 @@ class TestProfileCommand:
 
     def test_prom_out_carries_profile_metrics(self, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"
-        status = main(["profile", "--engine", "hp-superacc",
+        status = main(["profile", "--engine", "hp-small",
                        "--n", "20000", "--no-sample",
                        "--prom-out", str(prom)])
         assert status == 0
         text = prom.read_text()
         assert "profile_phase_seconds" in text
-        assert 'phase="superacc.scatter"' in text
+        assert 'phase="smallacc.scatter"' in text
 
 
 class TestProfileCalibrate:
@@ -110,10 +113,10 @@ class TestProfileCalibrate:
         assert status == 0
         text = capsys.readouterr().out
         assert "measured/model" in text
-        assert "superacc / double ratio" in text
+        assert "small / double ratio" in text
         doc = json.loads(out.read_text())
         assert doc["schema"] == MEASURED_SCHEMA
-        assert set(doc["measured"]) == {"double", "hp-superacc", "hallberg"}
+        assert set(doc["measured"]) == {"double", "hp-small", "hallberg"}
         assert all(v > 0 for v in doc["measured"].values())
 
     def test_measured_file_feeds_measured_anchors(self, tmp_path, capsys):

@@ -99,7 +99,7 @@ class TestServeMetricsDaemon:
         and drift.* families, and the HP path shows zero ULP drift."""
         proc = _spawn([
             "serve-metrics", "--port", "0", "--workload", "20000",
-            "--substrate", "procs", "--pes", "2", "--method", "hp-superacc",
+            "--substrate", "procs", "--pes", "2", "--method", "hp-small",
             "--interval", "0.2",
         ])
         try:
@@ -122,12 +122,12 @@ class TestServeMetricsDaemon:
             drift = families["drift_ulp_error"]
             assert drift["type"] == "histogram"
             paths = {l.get("path") for _, l, _ in drift["samples"]}
-            assert {"float64", "hp-superacc"} <= paths
+            assert {"float64", "hp-small"} <= paths
             # The delivered HP value never drifts: its ULP histogram sum
             # stays exactly zero no matter how many samples landed.
             hp_sum = next(
                 v for n, l, v in drift["samples"]
-                if n.endswith("_sum") and l.get("path") == "hp-superacc"
+                if n.endswith("_sum") and l.get("path") == "hp-small"
             )
             assert hp_sum == 0
             violations = [
@@ -135,7 +135,7 @@ class TestServeMetricsDaemon:
                     "drift_order_invariance_violations",
                     {"samples": []},
                 )["samples"]
-                if l.get("path") == "hp-superacc"
+                if l.get("path") == "hp-small"
             ]
             assert all(v == 0 for v in violations)
 
@@ -185,7 +185,7 @@ class TestServeMetricsFlag:
                 l["path"]: v
                 for _, l, v in families["drift_last_ulp_error"]["samples"]
             }
-            assert last_ulp["hp-superacc"] == 0
+            assert last_ulp["hp-small"] == 0
         finally:
             _terminate(proc)
 

@@ -176,7 +176,7 @@ class TestParsePrometheusText:
         reg = MetricsRegistry()
         reg.counter("global_sum.calls", substrate="procs").inc(7)
         reg.counter("global_sum.calls", substrate="serial").inc(2)
-        reg.gauge("drift.last_ulp_error", path="hp-superacc").set(0)
+        reg.gauge("drift.last_ulp_error", path="hp-small").set(0)
         h = reg.histogram(
             "drift.ulp_error", buckets=(0, 1, 100), path='we"ird\npath'
         )

@@ -92,12 +92,12 @@ class TestShadowSums:
         correctly-rounded reference."""
         rng = np.random.default_rng(3)
         xs = _spread(rng, 20_000)
-        method = make_method("hp-superacc")
+        method = make_method("hp-small")
         value = method.finalize(method.local_reduce(xs))
         record = armed.observe(xs, value, method, "serial")
         assert record["value_ulp"] == 0
-        assert REGISTRY.value("drift.last_ulp_error", path="hp-superacc") == 0
-        hist = REGISTRY.get("drift.ulp_error", path="hp-superacc")
+        assert REGISTRY.value("drift.last_ulp_error", path="hp-small") == 0
+        hist = REGISTRY.get("drift.ulp_error", path="hp-small")
         # every observation landed in the le=0 bucket
         assert hist.cumulative_buckets()[0] == (0.0, hist.count)
 
@@ -105,7 +105,7 @@ class TestShadowSums:
         """Acceptance: at n >= 1M the float64 naive shadow has drifted."""
         rng = np.random.default_rng(20160523)
         xs = rng.uniform(-1.0, 1.0, 1 << 20)
-        method = make_method("hp-superacc")
+        method = make_method("hp-small")
         value = method.finalize(method.local_reduce(xs))
         record = armed.observe(xs, value, method, "serial")
         assert record["n"] >= 1_000_000
@@ -152,17 +152,17 @@ class TestPermutationProbe:
         probe after probe."""
         armed.permute_period = 1
         rng = np.random.default_rng(9)
-        method = make_method("hp-superacc")
+        method = make_method("hp-small")
         for _ in range(5):
             xs = _spread(rng, 3000)
             value = method.finalize(method.local_reduce(xs))
             record = armed.observe(xs, value, method, "serial")
             assert record["probe"]["invariant"] is True
         assert REGISTRY.value(
-            "drift.permutation_probes", path="hp-superacc"
+            "drift.permutation_probes", path="hp-small"
         ) == 5
         assert REGISTRY.value(
-            "drift.order_invariance_violations", path="hp-superacc"
+            "drift.order_invariance_violations", path="hp-small"
         ) == 0
         assert armed.summary()["order_invariance_violations"] == {}
 
@@ -232,7 +232,7 @@ class TestThresholds:
         armed.on_breach.append(events.append)
         rng = np.random.default_rng(14)
         xs = _spread(rng, 10_000)
-        method = make_method("hp-superacc")
+        method = make_method("hp-small")
         value = method.finalize(method.local_reduce(xs))
         armed.observe(xs, value, method, "serial")
         assert events == []
@@ -299,10 +299,10 @@ class TestWiring:
         metrics.enable()
         MONITOR.arm(permute_period=0)
         rng = np.random.default_rng(16)
-        global_sum(rng.uniform(-1, 1, 2000), method="hp-superacc",
+        global_sum(rng.uniform(-1, 1, 2000), method="hp-small",
                    substrate="serial", pes=1)
         assert REGISTRY.value(
-            "drift.samples", path="hp-superacc", substrate="serial"
+            "drift.samples", path="hp-small", substrate="serial"
         ) == 1
 
     def test_threads_substrate_observes_once(self):
@@ -311,10 +311,10 @@ class TestWiring:
         metrics.enable()
         MONITOR.arm(permute_period=0)
         rng = np.random.default_rng(17)
-        global_sum(rng.uniform(-1, 1, 2000), method="hp-superacc",
+        global_sum(rng.uniform(-1, 1, 2000), method="hp-small",
                    substrate="threads", pes=2)
         assert REGISTRY.value(
-            "drift.samples", path="hp-superacc", substrate="threads"
+            "drift.samples", path="hp-small", substrate="threads"
         ) == 1
 
     def test_procs_substrate_observes_once_with_zero_ulp(self):
@@ -323,13 +323,13 @@ class TestWiring:
         metrics.enable()
         MONITOR.arm(permute_period=0)
         rng = np.random.default_rng(18)
-        global_sum(rng.uniform(-1, 1, 4000), method="hp-superacc",
+        global_sum(rng.uniform(-1, 1, 4000), method="hp-small",
                    substrate="procs", pes=2)
         assert REGISTRY.value(
-            "drift.samples", path="hp-superacc", substrate="procs"
+            "drift.samples", path="hp-small", substrate="procs"
         ) == 1
         assert REGISTRY.value(
-            "drift.last_ulp_error", path="hp-superacc"
+            "drift.last_ulp_error", path="hp-small"
         ) == 0
 
     def test_unarmed_global_sum_records_nothing(self):

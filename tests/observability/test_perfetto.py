@@ -29,7 +29,7 @@ def _worker_batch(worker_pid: int, lo: int, hi: int) -> list:
     with worker_tracer.span(
         "procpool.worker", pid=worker_pid, lo=lo, hi=hi, n=hi - lo
     ):
-        with worker_tracer.span("superacc.absorb", chunk=hi - lo):
+        with worker_tracer.span("smallacc.absorb", chunk=hi - lo):
             pass
     return Tracer.import_spans(worker_tracer.export())
 
@@ -38,7 +38,7 @@ class TestMasterTrack:
     def test_plain_spans_on_master_track(self):
         tracing.enable()
         with TRACER.span("global_sum", substrate="serial"):
-            with TRACER.span("superacc.absorb"):
+            with TRACER.span("smallacc.absorb"):
                 pass
         doc = chrome_trace()
         events = _events(doc)
@@ -113,7 +113,7 @@ class TestWorkerTracks:
 
         events = {e["name"]: e for e in _events(chrome_trace())}
         worker = events["procpool.worker"]
-        inner = events["superacc.absorb"]
+        inner = events["smallacc.absorb"]
         assert (worker["pid"], worker["tid"]) == (4242, 4242)
         assert (inner["pid"], inner["tid"]) == (4242, 4242)
 
@@ -128,7 +128,7 @@ class TestWorkerTracks:
             _worker_batch(7, 0, 10), parent=parent
         )
         by_name = {s.name: s for s in spans}
-        worker, inner = by_name["procpool.worker"], by_name["superacc.absorb"]
+        worker, inner = by_name["procpool.worker"], by_name["smallacc.absorb"]
         assert inner.parent_id == worker.span_id
         assert worker.parent_id == parent.span_id
 
@@ -153,7 +153,7 @@ class TestWorkerTracks:
 
         tracing.enable()
         rng = np.random.default_rng(5)
-        global_sum(rng.uniform(-1, 1, 4000), method="hp-superacc",
+        global_sum(rng.uniform(-1, 1, 4000), method="hp-small",
                    substrate="procs", pes=2)
         doc = chrome_trace()
         pids = {e["pid"] for e in _events(doc)}

@@ -51,12 +51,12 @@ class TestPhaseGate:
     def test_disabled_returns_shared_noop(self):
         # One singleton, not a fresh object per call: the disabled cost
         # at a hot call site is a global load and a falsy test.
-        assert phase("superacc.scatter") is phase("superacc.fold")
+        assert phase("smallacc.scatter") is phase("smallacc.propagate")
 
     def test_disabled_records_nothing_even_with_tracing_on(self):
         tracing.enable()
         metrics.enable()
-        with phase("superacc.scatter"):
+        with phase("smallacc.scatter"):
             pass
         assert TRACER.spans() == []
         assert REGISTRY.collect("profile.") == []
@@ -64,20 +64,20 @@ class TestPhaseGate:
     def test_enabled_records_span_and_metrics(self):
         metrics.enable()
         profile.enable()
-        with phase("superacc.scatter", chunk=4):
+        with phase("smallacc.scatter", chunk=4):
             pass
         (sp,) = TRACER.spans()
-        assert sp.name == PHASE_PREFIX + "superacc.scatter"
+        assert sp.name == PHASE_PREFIX + "smallacc.scatter"
         assert sp.attrs["chunk"] == 4
         assert sp.finished
         assert REGISTRY.value(
-            "profile.phase_calls", phase="superacc.scatter"
+            "profile.phase_calls", phase="smallacc.scatter"
         ) == 1
         assert REGISTRY.value(
-            "profile.phase_seconds", phase="superacc.scatter"
+            "profile.phase_seconds", phase="smallacc.scatter"
         ) >= 0.0
         hist = REGISTRY.get(
-            "profile.phase_call_seconds", phase="superacc.scatter"
+            "profile.phase_call_seconds", phase="smallacc.scatter"
         )
         assert hist is not None and hist.count == 1
 
@@ -271,9 +271,9 @@ class TestSpeedscope:
 class TestPrometheusRoundTrip:
     def test_profile_metrics_survive_exposition(self):
         with profiled():
-            with phase("superacc.scatter"):
+            with phase("smallacc.scatter"):
                 time.sleep(0.001)
-            with phase("superacc.scatter"):
+            with phase("smallacc.scatter"):
                 pass
             with phase("hp.round"):
                 pass
@@ -287,7 +287,7 @@ class TestPrometheusRoundTrip:
             labels["phase"]: value
             for _, labels, value in calls["samples"]
         }
-        assert values["superacc.scatter"] == 2
+        assert values["smallacc.scatter"] == 2
         assert values["hp.round"] == 1
         hist = parsed["profile_phase_call_seconds"]
         assert hist["type"] == "histogram"
@@ -296,7 +296,7 @@ class TestPrometheusRoundTrip:
             for name, labels, value in hist["samples"]
             if name.endswith("_count")
         }
-        assert counts["superacc.scatter"] == 2
+        assert counts["smallacc.scatter"] == 2
 
 
 class TestPerfettoCounters:
@@ -337,7 +337,7 @@ class TestProcsRehoming:
         xs = np.linspace(-1.0, 1.0, 20_000)
         with profiled():
             with TRACER.span(RUN_SPAN, substrate="procs"):
-                result = procpool_reduce(xs, make_method("hp-superacc"), 2)
+                result = procpool_reduce(xs, make_method("hp-small"), 2)
         assert result.pes == 2
         report = ProfileReport.from_tracer()
         workers = {
@@ -352,7 +352,7 @@ class TestProcsRehoming:
                 "procs.combine"} <= master_phases
         # Worker scatter phases re-homed with their procpool ancestry.
         assert any(
-            r.phase == "superacc.scatter" and r.worker.startswith("pid=")
+            r.phase == "smallacc.scatter" and r.worker.startswith("pid=")
             for r in report.rows
         )
         assert 0.0 < report.attributed_fraction <= 1.0

@@ -20,14 +20,14 @@ def _payload():
     reg.counter("global_sum.summands", substrate="procs").inc(1_000_000)
     reg.counter("procpool.reduces").inc(3)
     reg.histogram("drift.ulp_error", buckets=ULP_BUCKETS,
-                  path="hp-superacc").observe(0)
+                  path="hp-small").observe(0)
     reg.histogram("drift.ulp_error", buckets=ULP_BUCKETS,
                   path="float64").observe(120)
     reg.counter("drift.order_invariance_violations", path="float64").inc(2)
     reg.histogram("procpool.task_seconds", buckets=(0.01, 0.1),
-                  method="hp-superacc").observe(0.004)
+                  method="hp-small").observe(0.004)
     reg.histogram("profile.phase_call_seconds", buckets=(0.01, 0.1),
-                  phase="superacc.scatter").observe(0.02)
+                  phase="smallacc.scatter").observe(0.02)
     import time
 
     time.sleep(0.01)  # nonzero window so rates are well-defined
@@ -40,14 +40,14 @@ class TestRenderTop:
         frame = render_top(_payload(), url="http://127.0.0.1:9")
         assert "repro top — http://127.0.0.1:9" in frame
         assert "global_sum.summands{substrate=procs}" in frame
-        assert "path=hp-superacc" in frame
+        assert "path=hp-small" in frame
         assert "path=float64" in frame
         assert "order-invariance violations: 2 (float64=2)" in frame
         assert "procpool.reduces" in frame
         assert "procpool task seconds:" in frame
-        assert "method=hp-superacc" in frame
+        assert "method=hp-small" in frame
         assert "profiled phases (per-call latency):" in frame
-        assert "superacc.scatter" in frame
+        assert "smallacc.scatter" in frame
 
     def test_rates_section_scales_units(self):
         frame = render_top(_payload())

@@ -14,12 +14,12 @@ from repro.parallel.methods import (
     DoubleMethod,
     HallbergMethod,
     HPMethod,
-    HPSuperaccMethod,
+    HPSmallaccMethod,
     standard_methods,
 )
 
 ALL_ADAPTERS = standard_methods() + [
-    HPSuperaccMethod(HPParams(6, 3)),
+    HPSmallaccMethod(HPParams(6, 3)),
     DoubleMethod(strict_serial=True),
     HPMethod(HPParams(3, 2), vectorized=False),
     HallbergMethod(HallbergParams(10, 38), vectorized=False),

@@ -18,7 +18,7 @@ from repro.parallel.methods import (
     DoubleMethod,
     HallbergMethod,
     HPMethod,
-    HPSuperaccMethod,
+    HPSmallaccMethod,
 )
 from repro.parallel.procpool import (
     ProcPool,
@@ -45,8 +45,8 @@ def hp_words(data) -> tuple:
     return HPMethod(PARAMS).local_reduce(data)
 
 
-def superacc_words(partial) -> tuple:
-    return tuple(HPSuperaccMethod(PARAMS).words(partial))
+def small_words(partial) -> tuple:
+    return tuple(HPSmallaccMethod(PARAMS).words(partial))
 
 
 class TestTaskRanges:
@@ -71,8 +71,8 @@ class TestProcsInvariance:
     @pytest.mark.parametrize("pes", [1, 2, 3, 8])
     def test_pe_count_invariance(self, data, hp_words, pes):
         """The headline: bit-identical words at every worker count."""
-        r = procpool_reduce(data, HPSuperaccMethod(PARAMS), pes)
-        assert superacc_words(r.partial) == hp_words
+        r = procpool_reduce(data, HPSmallaccMethod(PARAMS), pes)
+        assert small_words(r.partial) == hp_words
         assert r.pes == pes and r.source == "shm"
 
     @pytest.mark.parametrize(
@@ -83,14 +83,14 @@ class TestProcsInvariance:
     )
     def test_schedule_invariance(self, data, hp_words, schedule):
         r = procpool_reduce(
-            data, HPSuperaccMethod(PARAMS), 3, schedule=schedule
+            data, HPSmallaccMethod(PARAMS), 3, schedule=schedule
         )
-        assert superacc_words(r.partial) == hp_words
+        assert small_words(r.partial) == hp_words
 
     def test_chunk_cap_invariance(self, data, hp_words):
-        r = procpool_reduce(data, HPSuperaccMethod(PARAMS), 2, chunk=700)
+        r = procpool_reduce(data, HPSmallaccMethod(PARAMS), 2, chunk=700)
         assert r.tasks >= N // 700
-        assert superacc_words(r.partial) == hp_words
+        assert small_words(r.partial) == hp_words
 
     def test_hp_words_partials_cross_processes(self, data, hp_words):
         """The word-matrix adapter ships N-word tuples instead of bins;
@@ -100,16 +100,16 @@ class TestProcsInvariance:
 
     def test_permutation_invariance(self, data, hp_words):
         shuffled = np.random.default_rng(99).permutation(data)
-        r = procpool_reduce(shuffled, HPSuperaccMethod(PARAMS), 3)
-        assert superacc_words(r.partial) == hp_words
+        r = procpool_reduce(shuffled, HPSmallaccMethod(PARAMS), 3)
+        assert small_words(r.partial) == hp_words
 
     def test_spawn_matches_fork(self, data, hp_words):
         """Start methods must not leak into the answer (spawn workers
         re-import everything; fork workers inherit pages)."""
         words = {
-            superacc_words(
+            small_words(
                 procpool_reduce(
-                    data, HPSuperaccMethod(PARAMS), 2, start_method=sm
+                    data, HPSmallaccMethod(PARAMS), 2, start_method=sm
                 ).partial
             )
             for sm in ("fork", "spawn")
@@ -121,11 +121,11 @@ class TestProcsInvariance:
         """p > n: most workers see empty or tiny slices."""
         xs = np.array([1.5, -0.25, 4096.0])
         serial = HPMethod(PARAMS).local_reduce(xs)
-        r = procpool_reduce(xs, HPSuperaccMethod(PARAMS), 8)
-        assert superacc_words(r.partial) == serial
+        r = procpool_reduce(xs, HPSmallaccMethod(PARAMS), 8)
+        assert small_words(r.partial) == serial
 
     def test_empty_input(self):
-        r = procpool_reduce(np.empty(0), HPSuperaccMethod(PARAMS), 4)
+        r = procpool_reduce(np.empty(0), HPSmallaccMethod(PARAMS), 4)
         assert r.value == 0.0 and r.tasks == 0
 
     def test_hallberg_partials_cross_processes(self, data):
@@ -160,21 +160,21 @@ class TestProcPoolLifecycle:
     def test_reduce_without_load(self):
         with ProcPool(pes=1) as pool:
             with pytest.raises(RuntimeError):
-                pool.reduce(HPSuperaccMethod(PARAMS))
+                pool.reduce(HPSmallaccMethod(PARAMS))
 
     def test_pool_reuse_across_methods_and_loads(self, data, hp_words):
         """One persistent pool serves repeated reductions — the
         benchmark usage pattern."""
         with ProcPool(data=data, pes=2) as pool:
             pool.warmup()
-            r1 = pool.reduce(HPSuperaccMethod(PARAMS))
+            r1 = pool.reduce(HPSmallaccMethod(PARAMS))
             r2 = pool.reduce(HPMethod(PARAMS))
-            assert superacc_words(r1.partial) == hp_words
+            assert small_words(r1.partial) == hp_words
             assert tuple(r2.partial) == hp_words
             # load() swaps the shared segment and restarts the workers
             pool.load(data[: N // 2])
-            r3 = pool.reduce(HPSuperaccMethod(PARAMS))
-            assert superacc_words(r3.partial) == HPMethod(
+            r3 = pool.reduce(HPSmallaccMethod(PARAMS))
+            assert small_words(r3.partial) == HPMethod(
                 PARAMS
             ).local_reduce(data[: N // 2])
 
@@ -184,51 +184,51 @@ class TestOutOfCore:
         path = tmp_path / "summands.npy"
         np.save(path, data)
         with ProcPool(pes=2) as pool:
-            r = pool.reduce_memmap(path, HPSuperaccMethod(PARAMS), chunk=700)
+            r = pool.reduce_memmap(path, HPSmallaccMethod(PARAMS), chunk=700)
         assert r.source == "memmap"
         assert r.tasks >= N // 700
-        assert superacc_words(r.partial) == hp_words
+        assert small_words(r.partial) == hp_words
 
     def test_memmap_rejects_2d(self, tmp_path):
         path = tmp_path / "grid.npy"
         np.save(path, np.zeros((4, 4)))
         with ProcPool(pes=1) as pool:
             with pytest.raises(ValueError):
-                pool.reduce_memmap(path, HPSuperaccMethod(PARAMS))
+                pool.reduce_memmap(path, HPSmallaccMethod(PARAMS))
 
     def test_path_source_routes_to_memmap(self, tmp_path, data, hp_words):
         path = tmp_path / "summands.npy"
         np.save(path, data)
-        r = procpool_reduce(str(path), HPSuperaccMethod(PARAMS), 2)
+        r = procpool_reduce(str(path), HPSmallaccMethod(PARAMS), 2)
         assert r.source == "memmap"
-        assert superacc_words(r.partial) == hp_words
+        assert small_words(r.partial) == hp_words
 
     def test_ooc_threshold_spills(self, data, hp_words):
         """Arrays above the threshold stream via a temp .npy instead of
         a shared segment — still bit-identical."""
         r = procpool_reduce(
-            data, HPSuperaccMethod(PARAMS), 2, ooc_threshold=1024
+            data, HPSmallaccMethod(PARAMS), 2, ooc_threshold=1024
         )
         assert r.source == "memmap"
-        assert superacc_words(r.partial) == hp_words
+        assert small_words(r.partial) == hp_words
 
     def test_below_threshold_stays_shm(self, data):
         r = procpool_reduce(
-            data, HPSuperaccMethod(PARAMS), 2, ooc_threshold=1 << 30
+            data, HPSmallaccMethod(PARAMS), 2, ooc_threshold=1 << 30
         )
         assert r.source == "shm"
 
 
 class TestDriverIntegration:
     def test_global_sum_procs_substrate(self, data, hp_words):
-        serial = global_sum(data, method="hp-superacc", substrate="serial")
-        r = global_sum(data, method="hp-superacc", substrate="procs", pes=4)
+        serial = global_sum(data, method="hp-small", substrate="serial")
+        r = global_sum(data, method="hp-small", substrate="procs", pes=4)
         assert r.words == serial.words == hp_words
         assert r.value == serial.value
 
     def test_global_sum_procs_kwargs(self, data, hp_words):
         r = global_sum(
-            data, method="hp-superacc", substrate="procs", pes=2,
+            data, method="hp-small", substrate="procs", pes=2,
             schedule=Schedule("guided", 32), chunk=900,
         )
         assert r.words == hp_words
@@ -259,7 +259,7 @@ class TestObservability:
 
         metrics.enable()
         tracing.enable()
-        r = procpool_reduce(data, HPSuperaccMethod(PARAMS), 2)
+        r = procpool_reduce(data, HPSmallaccMethod(PARAMS), 2)
         assert r.tasks == 2
 
         snap = metrics.REGISTRY.snapshot()
@@ -268,7 +268,7 @@ class TestObservability:
             by_name.setdefault(m["name"], []).append(m)
         assert sum(m["value"] for m in by_name["procpool.reduces"]) == 1
         assert sum(m["value"] for m in by_name["procpool.tasks"]) == 2
-        nbytes = HPSuperaccMethod(PARAMS).partial_nbytes()
+        nbytes = HPSmallaccMethod(PARAMS).partial_nbytes()
         assert sum(
             m["value"] for m in by_name["procpool.partial_bytes"]
         ) == 2 * nbytes
@@ -276,7 +276,7 @@ class TestObservability:
             m["count"] for m in by_name["procpool.task_seconds"]
         ) == 2
         # worker-side engine counters merged into the master registry
-        assert "superacc.scatter_bytes" in by_name
+        assert "smallacc.scatter_bytes" in by_name
 
         spans = tracing.TRACER.export()["spans"]
         names = [s["name"] for s in spans]
@@ -293,7 +293,7 @@ class TestObservability:
     def test_disabled_observability_ships_no_meta(self, data):
         from repro.observability import metrics, tracing
 
-        r = procpool_reduce(data, HPSuperaccMethod(PARAMS), 2)
+        r = procpool_reduce(data, HPSmallaccMethod(PARAMS), 2)
         assert r.value is not None
         assert metrics.REGISTRY.snapshot()["metrics"] == []
         assert tracing.TRACER.export()["spans"] == []

@@ -1,10 +1,10 @@
 """hp-small across the substrates: flat chunk partials, any schedule.
 
 The small engine's partials are one int64 chunk array — no side carry —
-so the combine is plain elementwise addition.  These tests pin the same
-architecture-invariance contract as the superacc suite: words must be
-bit-identical to the hp adapter on every substrate and PE count, and the
-wire codec must round-trip chunk partials exactly.
+so the combine is plain elementwise addition.  These tests pin the
+architecture-invariance contract: words must be bit-identical to the hp
+adapter on every substrate and PE count, and the wire codec must
+round-trip chunk partials exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.core.params import HPParams
 from repro.parallel.drivers import global_sum, make_method
 from repro.parallel.methods import HPMethod, HPSmallaccMethod
 from repro.parallel.simmpi import datatype_for_method
-from repro.parallel.simmpi.datatypes import SmallaccChunksType, SuperaccBinsType
+from repro.parallel.simmpi.datatypes import SmallaccChunksType
 from repro.util.rng import default_rng
 
 PARAMS = HPParams(6, 3)
@@ -63,12 +63,14 @@ class TestDriverIntegration:
         assert r.words == hp_words
         assert r.value == global_sum(data, method="hp", params=PARAMS).value
 
-    def test_gpu_has_no_small_kernel(self, data):
-        with pytest.raises(ValueError, match="no hp-small kernel"):
-            global_sum(
-                data, method="hp-small", substrate="gpu", pes=8,
-                params=PARAMS,
-            )
+    def test_gpu_shuffled_schedule(self, data, hp_words):
+        """Block trees and leader merges in a shuffled schedule, on a
+        PE count that is not a power of two, still land on hp's words."""
+        r = global_sum(
+            data, method="hp-small", substrate="gpu", pes=6,
+            params=PARAMS, schedule_seed=3,
+        )
+        assert r.words == hp_words
 
     def test_pe_count_invariance(self, data):
         results = {
@@ -82,7 +84,7 @@ class TestDriverIntegration:
 
     def test_bitwise_equal_across_methods(self, data):
         a = global_sum(data, method="hp-small", params=PARAMS)
-        b = global_sum(data, method="hp-superacc", substrate="threads",
+        b = global_sum(data, method="hp", substrate="threads",
                        pes=4, params=PARAMS)
         assert a.bitwise_equal(b)
 
@@ -118,13 +120,12 @@ class TestMethodAlgebra:
     def test_partials_are_canonical(self, data):
         """local_reduce ships the canonical (fully propagated) chunk
         form — the transport contract merge_chunks assumes."""
-        from repro.core.smallacc import canonical_chunks, chunk_count
-        from repro.core.superacc import fold_bins
+        from repro.core.smallacc import bin_count, bins_from_int, fold_bins
 
         m = HPSmallaccMethod(PARAMS)
         partial = m.local_reduce(data)
-        assert partial == canonical_chunks(
-            fold_bins(partial), chunk_count(PARAMS)
+        assert partial == bins_from_int(
+            fold_bins(partial), bin_count(PARAMS)
         )
 
     def test_is_exact(self):
@@ -135,14 +136,9 @@ class TestWireCodec:
     def test_datatype_dispatch(self):
         dt = datatype_for_method(HPSmallaccMethod(PARAMS))
         assert isinstance(dt, SmallaccChunksType)
-        # hp-small must dispatch before the superacc base class and must
-        # not shadow hp's word codec.
-        from repro.parallel.methods import HPSuperaccMethod
+        # hp-small must not shadow hp's word codec.
         from repro.parallel.simmpi import HPWordsType
 
-        assert not isinstance(
-            datatype_for_method(HPSuperaccMethod(PARAMS)), SmallaccChunksType
-        )
         assert isinstance(datatype_for_method(HPMethod(PARAMS)), HPWordsType)
 
     def test_nbytes_matches_method(self):
@@ -157,15 +153,16 @@ class TestWireCodec:
         assert any(v != 0 for v in partial)
         assert dt.unpack(dt.pack(partial)) == partial
 
-    def test_shares_superacc_wire_format(self):
-        """Same 16-byte signed slots as the bins codec: a chunk partial
-        and a bin partial of the same params are interchangeable on the
-        wire even though the dispatch types differ."""
-        dt_small = SmallaccChunksType(PARAMS)
-        dt_bins = SuperaccBinsType(PARAMS)
-        assert dt_small.nbytes == dt_bins.nbytes
-        partial = tuple(range(-3, dt_small.nbytes // 16 - 3))
-        assert dt_bins.unpack(dt_small.pack(partial)) == partial
+    def test_wire_slots_are_16_bytes_signed(self):
+        """The wire layout: one 16-byte signed little-endian slot per
+        chunk, wide enough for chunks a combine tree pushed past 64
+        bits."""
+        dt = SmallaccChunksType(PARAMS)
+        assert dt.nbytes == 16 * dt.nchunks
+        partial = (-(1 << 70),) + tuple(range(dt.nchunks - 1))
+        buf = dt.pack(partial)
+        assert buf[:16] == (-(1 << 70)).to_bytes(16, "little", signed=True)
+        assert dt.unpack(buf) == partial
 
     def test_cancellation_over_the_wire(self):
         rng = default_rng(7)

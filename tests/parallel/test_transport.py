@@ -22,10 +22,10 @@ from repro.parallel.methods import (
     DoubleMethod,
     HallbergMethod,
     HPMethod,
-    HPSuperaccMethod,
+    HPSmallaccMethod,
 )
 from repro.parallel.simmpi.datatypes import (
-    SuperaccBinsType,
+    SmallaccChunksType,
     datatype_for_method,
 )
 
@@ -34,7 +34,7 @@ PARAMS = HPParams(6, 3)
 METHODS = [
     DoubleMethod(),
     HPMethod(PARAMS),
-    HPSuperaccMethod(PARAMS),
+    HPSmallaccMethod(PARAMS),
     HallbergMethod(HallbergParams(10, 38)),
 ]
 
@@ -87,17 +87,18 @@ class TestWireRoundTrip:
         assert len(buf) == dt.nbytes
         assert dt.unpack(buf) == part
 
-    def test_superacc_bins_survive_negative_values(self):
-        """Bin partials are signed; negative-heavy data must round-trip."""
-        m = HPSuperaccMethod(PARAMS)
+    def test_small_chunks_survive_negative_values(self):
+        """Chunk partials are signed; negative-heavy data must
+        round-trip."""
+        m = HPSmallaccMethod(PARAMS)
         xs = -np.abs(np.random.default_rng(7).uniform(0.5, 1.0, 500))
         part = m.local_reduce(xs)
         assert any(b < 0 for b in part)
-        dt = SuperaccBinsType(PARAMS)
+        dt = SmallaccChunksType(PARAMS)
         assert dt.unpack(dt.pack(part)) == part
 
-    def test_superacc_bins_reject_wrong_arity(self):
-        dt = SuperaccBinsType(PARAMS)
+    def test_small_chunks_reject_wrong_arity(self):
+        dt = SmallaccChunksType(PARAMS)
         with pytest.raises(ValueError):
             dt.pack((1, 2, 3))
 
@@ -129,7 +130,7 @@ class TestSharedMemoryRoundTrip:
         try:
             view = np.ndarray(data.shape, dtype=np.float64, buffer=seg.buf)
             view[:] = data
-            m = HPSuperaccMethod(PARAMS)
+            m = HPSmallaccMethod(PARAMS)
             assert m.local_reduce(view) == m.local_reduce(data)
         finally:
             del view

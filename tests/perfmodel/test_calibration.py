@@ -36,7 +36,7 @@ class TestAnchors:
 
 
 class TestMeasuredAnchors:
-    MEASURED = {"double": 1e-3, "hp-superacc": 0.35, "hallberg": 0.4}
+    MEASURED = {"double": 1e-3, "hp-small": 0.35, "hallberg": 0.4}
 
     def test_residual_is_measured_over_model(self):
         a = MeasuredAnchor("x", model_value=2.0, measured_value=3.0)
@@ -48,7 +48,7 @@ class TestMeasuredAnchors:
         assert len(anchors) == 3
         names = [a.name for a in anchors]
         assert any("double" in n for n in names)
-        assert any("superacc / double" in n for n in names)
+        assert any("small / double" in n for n in names)
         assert any("Hallberg" in n for n in names)
 
     def test_ratio_anchors_cancel_the_host_clock(self):
