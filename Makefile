@@ -4,8 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint analyze race-smoke sanitize bench-regress \
-	bench-scaling profile serve check
+.PHONY: test lint analyze race-smoke sanitize profile serve check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -35,26 +34,6 @@ race-smoke:
 # workload (atomic cell + shadowed accumulator + simulated-MPI reduce).
 sanitize:
 	$(PYTHON) -m repro lint --sanitize-smoke --smoke-n 50000 --smoke-pes 4 src
-
-# Performance-regression gate: times both exact engines (words / small,
-# the latter checked on every available native backend) over the
-# pinned Table-1 matrix, pins bit-identity against the scalar oracle,
-# and writes BENCH_8.json (schema repro.bench.regress/5).  Fails when
-# small is not faster than words at the N=8 / 1M-summand headline case
-# or on any backend divergence; the 10x target is recorded, not gated.
-bench-regress:
-	$(PYTHON) -m repro bench --regress --out BENCH_8.json
-
-# Strong-scaling gate: real wall-clock of the procs substrate (shared
-# memory process pool) for double/hp/hp-small at 4M summands over p
-# in {1,2,4,8}; writes BENCH_4.json (schema repro.bench.scaling/3;
-# warm-up excluded from the timed region by contract, tasks == pes
-# asserted per case).  Fails on any bitwise divergence from the serial
-# word-matrix reference, or when hp-small at p=4 misses the
-# machine-aware minimum speedup (2x on >= 4 cores; waived — and
-# recorded as waived — on one core).
-bench-scaling:
-	$(PYTHON) -m repro bench --scaling --out BENCH_4.json
 
 # Phase-level cost attribution of the headline reduction: prints the
 # self/cumulative/% cost table and writes flamegraph + speedscope +

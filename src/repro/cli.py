@@ -267,79 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         "against the documented schema instead of running (repeatable)",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark harnesses (--regress engines / --scaling procs)",
-        description="Two modes.  --regress runs the pinned regression "
-        "matrix from repro.bench.regress: times both batch engines over "
-        "every Table-1 configuration, pins bit-identity against the "
-        "scalar oracle across input permutations and chunk sizes.  "
-        "--scaling runs the strong-scaling matrix from "
-        "repro.bench.scaling: real wall-clock timings of the procs "
-        "substrate for double/hp/hp-small over p in {1,2,4,8}, "
-        "gated on bit-identity and a machine-aware minimum speedup.  "
-        "Both write a schema-versioned BENCH_<pr>.json report; exit "
-        "status is 0 only when every check passes.",
-    )
-    p_bench.add_argument(
-        "--regress", action="store_true",
-        help="run the engine-regression matrix (small vs words)",
-    )
-    p_bench.add_argument(
-        "--scaling", action="store_true",
-        help="run the procs-substrate strong-scaling matrix",
-    )
-    p_bench.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="report path (default BENCH_<pr>.json in the CWD)",
-    )
-    p_bench.add_argument("--pr", type=int, default=None,
-                         help="PR number stamped into the report name "
-                         "(default: 3 for --regress, 4 for --scaling)")
-    p_bench.add_argument("--n", type=int, default=None,
-                         help="summands per case (default 1<<20 regress, "
-                         "4<<20 scaling)")
-    p_bench.add_argument("--repeats", type=int, default=None,
-                         help="timing repeats, best-of (default 3)")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="regress: required headline small speedup over the words "
-        "path (default 1.0).  scaling: required procs speedup over serial "
-        "at the gate PE count (default: auto for this machine's core "
-        "count; 0 waives the gate, bit-identity still enforced)",
-    )
-    p_bench.add_argument(
-        "--skip-oracle", action="store_true",
-        help="regress only: skip the scalar-oracle bit-identity stage",
-    )
-    p_bench.add_argument(
-        "--drift", action="store_true",
-        help="arm the accuracy-drift monitor for the run and embed its "
-        "digest in the report under 'drift' (untimed stages only)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true", dest="bench_profile",
-        help="run one phase-attributed pass after the timed sections and "
-        "embed the per-phase cost table in the report under 'phases'",
-    )
-    p_bench.add_argument(
-        "--journal", metavar="PATH", default=None, dest="bench_journal",
-        help="enable the structured event journal for the run and write "
-        "its JSONL spill to PATH (untimed overhead: the gate is flipped "
-        "before the harness starts)",
-    )
-    p_bench.add_argument(
-        "--pes-list", metavar="P,P,...", default=None,
-        help="scaling only: comma-separated PE counts (default 1,2,4,8)",
-    )
-    p_bench.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None, dest="bench_start_method",
-        help="scaling only: worker start method (default: fork where "
-        "available, else spawn)",
-    )
-
     p_prof = sub.add_parser(
         "profile",
         help="phase-level cost attribution of one reduction",
@@ -1315,98 +1242,17 @@ def _cmd_events(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    if args.regress == args.scaling:  # neither, or both
-        print("error: bench requires exactly one of --regress / --scaling",
-              file=sys.stderr)
-        return 2
-
-    if args.bench_journal:
-        from repro.observability import journal as _journal
-
-        _journal.enable()
-        _journal.JOURNAL.spill_to(args.bench_journal)
-        try:
-            return _cmd_bench_run(args)
-        finally:
-            _journal.JOURNAL.close_spill()
-            _journal.disable()
-            print(f"journal spill written to {args.bench_journal}")
-    return _cmd_bench_run(args)
-
-
-def _cmd_bench_run(args) -> int:
-    import json
-
-    if args.scaling:
-        from repro.bench import (
-            format_scaling_summary,
-            run_scaling,
-            validate_scaling_report,
-        )
-
-        pr = args.pr if args.pr is not None else 4
-        kwargs = {"pr": pr, "min_speedup": args.min_speedup,
-                  "start_method": args.bench_start_method,
-                  "drift": args.drift, "profile": args.bench_profile}
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.repeats is not None:
-            kwargs["repeats"] = args.repeats
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.pes_list is not None:
-            kwargs["pes_list"] = [
-                int(tok) for tok in args.pes_list.split(",") if tok
-            ]
-        doc = run_scaling(**kwargs)
-        problems = validate_scaling_report(doc)
-        if problems:  # a bug in the harness itself, not the run
-            for p in problems:
-                print(f"error: scaling report invalid: {p}",
-                      file=sys.stderr)
-            return 2
-        summary = format_scaling_summary(doc)
-    else:
-        from repro.bench import default_report_name, run_regress
-        from repro.bench import regress as _regress
-
-        pr = args.pr if args.pr is not None else 3
-        kwargs = {"pr": pr, "skip_oracle": args.skip_oracle,
-                  "drift": args.drift, "profile": args.bench_profile,
-                  "min_speedup": (args.min_speedup
-                                  if args.min_speedup is not None else 1.0)}
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.repeats is not None:
-            kwargs["repeats"] = args.repeats
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        doc = run_regress(**kwargs)
-        summary = _regress.format_summary(doc)
-
-    out = args.out or f"BENCH_{pr}.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    print(summary)
-    print(f"report written to {out}")
-    return 0 if doc["checks"]["passed"] else 1
-
-
 def _profile_workload(args):
     """Build the (callable, label) pair ``repro profile`` measures."""
-    from repro.bench.regress import _make_summands
     from repro.core.params import HPParams
     from repro.core.vectorized import batch_sum_doubles, batch_to_double
+    from repro.experiments.datasets import wide_range_uniform
     from repro.hallberg.params import HallbergParams
     from repro.hallberg.scalar import hb_to_double
     from repro.hallberg.vectorized import hb_batch_sum_doubles
 
     seed = args.seed if args.seed is not None else 20160523
-    xs = _make_summands(args.n, seed)
+    xs = wide_range_uniform(args.n, np.random.default_rng(seed), (-30, 30))
 
     if args.substrate != "serial":
         from repro.parallel.drivers import make_method
@@ -1458,26 +1304,26 @@ def _profile_workload(args):
 def _cmd_profile_calibrate(args) -> int:
     import json
 
-    from repro.bench.regress import _make_summands, _time_best
     from repro.core.params import HPParams
     from repro.core.vectorized import batch_sum_doubles
+    from repro.experiments.datasets import wide_range_uniform
     from repro.hallberg.params import HallbergParams
     from repro.hallberg.vectorized import hb_batch_sum_doubles
     from repro.perfmodel.calibration import MEASURED_SCHEMA, render_measured
+    from repro.util.timing import repeat_timeit
 
     seed = args.seed if args.seed is not None else 20160523
-    xs = _make_summands(args.n, seed)
+    xs = wide_range_uniform(args.n, np.random.default_rng(seed), (-30, 30))
     hp = HPParams(6, 3)
     hb = HallbergParams(10, 38)
+
+    def best(fn) -> float:
+        return repeat_timeit(fn, args.repeats, warmup=0).best
+
     measured = {
-        "double": _time_best(lambda: float(np.sum(xs)), args.repeats),
-        "hp-small": _time_best(
-            lambda: batch_sum_doubles(xs, hp, method="small"),
-            args.repeats,
-        ),
-        "hallberg": _time_best(
-            lambda: hb_batch_sum_doubles(xs, hb), args.repeats
-        ),
+        "double": best(lambda: float(np.sum(xs))),
+        "hp-small": best(lambda: batch_sum_doubles(xs, hp, method="small")),
+        "hallberg": best(lambda: hb_batch_sum_doubles(xs, hb)),
     }
     if args.calibrate_out:
         doc = {
@@ -1598,7 +1444,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "calibration": _cmd_calibration,
         "stats": _cmd_stats,
         "lint": _cmd_lint,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "serve-metrics": _cmd_serve,
         "top": _cmd_top,

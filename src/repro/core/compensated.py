@@ -50,12 +50,12 @@ Kernels
     of ``n`` to first order.
 
 ``neumaier_partial`` additionally consults :mod:`repro.core.native` for
-a compiled scalar kernel (numba -> C extension -> pure ladder):
+a compiled scalar kernel (C extension -> pure ladder):
 the compiled loop is classic sequential Neumaier — same advertised
 bound, fewer passes over memory.  Compiled and pure backends are *not*
 bit-interchangeable here (unlike the exact engines): each is
 deterministic for a fixed order, and both respect the advertised bound,
-which is what the regression gate checks.
+which is what ``tests/core/test_compensated.py`` checks.
 """
 
 from __future__ import annotations

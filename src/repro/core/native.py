@@ -7,28 +7,35 @@ between slots.
 NumPy executes those loops through ``np.add.at`` — deterministic, but a
 dispatch-heavy scalar fallback inside NumPy.  This module compiles the
 same loops to machine code when the environment allows it, with a
-three-step fallback chain:
+two-step fallback chain:
 
-``numba``
-    If :mod:`numba` is importable, the kernels are ``@njit``-compiled
-    from the pure-Python integer specification below.
 ``cext``
-    Otherwise, a small self-contained C translation unit (embedded in
-    this file, no build system needed) is compiled best-effort with the
-    system C compiler into a cached shared object and loaded through
-    :mod:`ctypes`.  The first build happens at install/first use; later
+    A small self-contained C translation unit (embedded in this file,
+    no build system needed) is compiled best-effort with the system C
+    compiler into a cached shared object and loaded through
+    :mod:`ctypes`.  The first build happens at first use; later
     processes reuse the cached ``.so`` keyed by a hash of the source.
 ``pure``
-    If neither is available — or ``REPRO_FORCE_PURE=1`` is set — the
-    engines keep their pure-NumPy paths.  Nothing is lost but speed.
+    If that fails — or ``REPRO_FORCE_PURE=1`` is set — the engines keep
+    their pure-NumPy paths.  Nothing is lost but speed.
 
-**Bit-identity contract.**  Every backend implements the *same* exact
+**Bit-identity contract.**  Both backends implement the *same* exact
 integer arithmetic: the scatter decomposition reproduces ``frexp``
 (including subnormal normalization) bit-for-bit, limb adds are plain
 two's-complement ``int64`` adds, and carry propagation uses arithmetic
 (floor) right shifts — exactly the NumPy semantics.  Backends are
-therefore interchangeable mid-computation, and the regression harness
-(``repro bench --regress``) gates on compiled-vs-pure bit-identity.
+therefore interchangeable mid-computation; ``tests/core/test_native.py``
+and the engine gates in ``tests/core/test_smallacc.py`` pin
+compiled-vs-pure bit-identity.
+
+**A cache that cannot be trusted is never loaded.**  The cache directory
+must belong to the current user and be writable by no one else; a
+directory this module creates is private (mode ``0o700``).  Each build
+records the ``.so``'s sha256 beside it, and the hash is checked before
+the object is loaded, so a truncated or overwritten object is rebuilt
+instead of crashing the interpreter.  When the directory is refused or
+the rebuild fails, ``auto`` falls back to pure with one stderr warning
+and the reason in :func:`backend_info`'s ``build_errors``.
 
 The selected backend is introspectable via :func:`backend_info` /
 ``repro stats`` and published as the ``smallacc.backend`` gauge.
@@ -38,12 +45,12 @@ Environment knobs
 ``REPRO_FORCE_PURE=1``
     Skip every compiled backend (CI uses this for the pure leg of the
     backend matrix).
-``REPRO_NATIVE=auto|numba|cext|pure``
+``REPRO_NATIVE=auto|cext|pure``
     Pin the resolution order's answer (``auto`` is the default chain).
 ``REPRO_NATIVE_CACHE=DIR``
-    Directory for the compiled shared object (default: a content-keyed
-    subdirectory of the system temp dir); the object's file name is
-    keyed by the source hash either way.
+    Directory for the compiled shared object (default: a subdirectory
+    of the system temp dir keyed by user id and source hash); the
+    object's file name is keyed by the source hash either way.
 
 Run ``python -m repro.core.native`` to force a build eagerly and print
 the resolved backend.
@@ -54,6 +61,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -253,9 +261,41 @@ def _cache_dir(digest: str) -> str:
     base = os.environ.get("REPRO_NATIVE_CACHE")
     if not base:
         base = os.path.join(
-            tempfile.gettempdir(), f"repro-native-{digest[:16]}"
+            tempfile.gettempdir(),
+            f"repro-native-{os.getuid()}-{digest[:16]}",
         )
     return base
+
+
+def _private_dir(path: str) -> None:
+    """Create ``path`` private to this user, or refuse an existing one
+    that another user owns or may write to: it could hold any object."""
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
+    if st.st_uid != os.getuid():
+        raise NativeUnavailableError(
+            f"cache directory {path} is owned by uid {st.st_uid}, "
+            f"not {os.getuid()}"
+        )
+    if st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise NativeUnavailableError(
+            f"cache directory {path} is writable by other users "
+            f"(mode {stat.S_IMODE(st.st_mode):o})"
+        )
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _hash_matches(so_path: str) -> bool:
+    """True when the object's bytes match the hash its build recorded."""
+    try:
+        with open(so_path + ".sha256", encoding="ascii") as fh:
+            return fh.read().strip() == _sha256(so_path)
+    except (OSError, UnicodeDecodeError):
+        return False
 
 
 def _find_cc() -> str | None:
@@ -267,6 +307,35 @@ def _find_cc() -> str | None:
     return None
 
 
+def _compile(so_path: str) -> None:
+    """Build the object, then record its hash and move it into place."""
+    cc = _find_cc()
+    if cc is None:
+        raise NativeUnavailableError("no C compiler on PATH")
+    # The source goes in on stdin, so concurrent builders share no
+    # source file and produce the same bytes.
+    tmp_path = so_path + f".tmp.{os.getpid()}"
+    proc = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-",
+         "-lm"],
+        input=_C_SOURCE,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise NativeUnavailableError(
+            f"C build failed: {proc.stderr.strip()[:400]}"
+        )
+    with open(tmp_path + ".sha256", "w", encoding="ascii") as fh:
+        fh.write(_sha256(tmp_path) + "\n")
+    # Each rename is atomic, so concurrent builders race safely: they
+    # write the same bytes, and a reader between the two renames sees a
+    # mismatch and rebuilds.
+    os.replace(tmp_path + ".sha256", so_path + ".sha256")
+    os.replace(tmp_path, so_path)
+
+
 def _build_cext() -> KernelSet:
     """Compile (or reuse) the shared object and wrap it with ctypes."""
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()
@@ -275,27 +344,11 @@ def _build_cext() -> KernelSet:
     # directory shared across source versions never serves a stale
     # object whose signatures no longer match the wrappers below.
     so_path = os.path.join(cache, f"libreprokern-{digest[:16]}.so")
-    if not os.path.exists(so_path):
-        cc = _find_cc()
-        if cc is None:
-            raise NativeUnavailableError("no C compiler on PATH")
-        os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"reprokern-{digest[:16]}.c")
-        with open(src_path, "w", encoding="utf-8") as fh:
-            fh.write(_C_SOURCE)
-        tmp_path = so_path + f".tmp.{os.getpid()}"
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_path, src_path, "-lm"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            raise NativeUnavailableError(
-                f"C build failed: {proc.stderr.strip()[:400]}"
-            )
-        os.replace(tmp_path, so_path)  # atomic: concurrent builders race safely
-
+    _private_dir(cache)
+    # A missing, truncated or overwritten object fails the recorded
+    # hash and is rebuilt once; loading it could kill the interpreter.
+    if not _hash_matches(so_path):
+        _compile(so_path)
     lib = ctypes.CDLL(so_path)
     c_i64 = ctypes.c_longlong
     c_ptr = ctypes.c_void_p
@@ -330,127 +383,18 @@ def _build_cext() -> KernelSet:
 
 
 # ---------------------------------------------------------------------------
-# numba backend: the same integer kernels, JIT-compiled from Python
-# ---------------------------------------------------------------------------
-
-
-def _build_numba() -> KernelSet:
-    try:
-        import numba
-    except ImportError as exc:
-        raise NativeUnavailableError("numba is not importable") from exc
-    import numpy as np
-
-    # The kernels consume the raw IEEE-754 bit patterns (a uint64 view of
-    # the float64 array) so the decomposition is pure integer code —
-    # identical math to the C translation unit above.
-    @numba.njit(cache=False)
-    def _propagate(chunks):  # pragma: no cover - requires numba
-        carry = np.int64(0)
-        for i in range(chunks.shape[0] - 1):
-            v = chunks[i] + carry
-            chunks[i] = v & np.int64(0xFFFFFFFF)
-            carry = v >> np.int64(32)
-        chunks[chunks.shape[0] - 1] += carry
-
-    @numba.njit(cache=False)
-    def _small_scatter(bits, frac_bits, chunks):  # pragma: no cover
-        since = 0
-        for i in range(bits.shape[0]):
-            u = bits[i]
-            neg = (u >> np.uint64(63)) != np.uint64(0)
-            u = u & np.uint64(0x7FFFFFFFFFFFFFFF)
-            if u == np.uint64(0):
-                continue
-            biased = np.int64(u >> np.uint64(52))
-            frac = u & np.uint64(0xFFFFFFFFFFFFF)
-            if biased != 0:
-                e = biased - 1022
-                mant = np.int64(frac | np.uint64(1 << 52))
-            else:
-                z = 0
-                while (frac & np.uint64(1 << 52)) == np.uint64(0):
-                    frac = frac << np.uint64(1)
-                    z += 1
-                e = -1021 - z
-                mant = np.int64(frac)
-            t = e - 53 + frac_bits
-            if t < 0:
-                down = min(-t, 63)
-                mant = mant >> np.int64(down)
-                if mant == 0:
-                    continue
-                t = 0
-            idx = t >> 5
-            sub = np.uint64(t & 31)
-            lo = (np.uint64(mant) << sub) & np.uint64(0xFFFFFFFF)
-            hi = np.uint64(mant) >> (np.uint64(32) - sub)
-            sign = np.int64(-1) if neg else np.int64(1)
-            chunks[idx] += sign * np.int64(lo)
-            chunks[idx + 1] += sign * np.int64(hi)
-            since += 1
-            if since >= 2046:  # SMALL_PROPAGATE_LIMIT
-                _propagate(chunks)
-                since = 0
-        _propagate(chunks)
-
-    @numba.njit(cache=False)
-    def _neumaier(xs, out):  # pragma: no cover - requires numba
-        total = 0.0
-        comp = 0.0
-        max_abs = 0.0
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            ax = -x if x < 0.0 else x
-            at = -total if total < 0.0 else total
-            t = total + x
-            if at >= ax:
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-            if ax > max_abs:
-                max_abs = ax
-        out[0] = total
-        out[1] = comp
-        out[2] = max_abs
-
-    def smallacc_scatter(xs, frac_bits: int, chunks) -> None:
-        _small_scatter(xs.view(np.uint64), frac_bits, chunks)
-
-    def propagate(chunks) -> None:
-        _propagate(chunks)
-
-    def neumaier_partial(xs) -> tuple:
-        out = np.zeros(3, dtype=np.float64)
-        _neumaier(xs, out)
-        total, err, max_abs = out.tolist()
-        return (total, err, max_abs)
-
-    # Trigger compilation now so resolution fails fast (and once) if the
-    # installed numba cannot handle the kernels.
-    probe = np.array([1.0, -2.5, 5e-324], dtype=np.float64)
-    state = np.zeros(8, dtype=np.int64)
-    smallacc_scatter(probe, 32, state)
-    neumaier_partial(probe)
-    return KernelSet("numba", smallacc_scatter, propagate, neumaier_partial)
-
-
-# ---------------------------------------------------------------------------
 # resolution
 # ---------------------------------------------------------------------------
-
-_BUILDERS = {"numba": _build_numba, "cext": _build_cext}
-
 
 def resolve(backend: str = "auto") -> KernelSet:
     """Resolve a backend name to a :class:`KernelSet`.
 
-    ``auto`` walks the chain numba -> cext -> pure, honoring
-    ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; failures along the chain
-    degrade silently (recorded in :func:`backend_info`).  Explicit
-    ``numba`` / ``cext`` raise :class:`NativeUnavailableError` when the
-    backend cannot be provided; explicit ``pure`` always succeeds.
+    ``auto`` walks the chain cext -> pure, honoring
+    ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; a failure along the chain
+    degrades to pure with one stderr warning (the reason is recorded in
+    :func:`backend_info`).  An explicit ``cext`` raises
+    :class:`NativeUnavailableError` when the backend cannot be provided;
+    explicit ``pure`` always succeeds.
     """
     if backend == "auto":
         env = os.environ.get("REPRO_NATIVE", "").strip().lower()
@@ -462,22 +406,27 @@ def resolve(backend: str = "auto") -> KernelSet:
         if backend in _RESOLVED:
             return _RESOLVED[backend]
         if backend == "auto":
-            for name in ("numba", "cext"):
-                try:
-                    kern = _RESOLVED.get(name) or _BUILDERS[name]()
-                    _RESOLVED[name] = kern
-                    _RESOLVED["auto"] = kern
-                    return kern
-                except Exception as exc:
-                    _BUILD_ERRORS[name] = f"{type(exc).__name__}: {exc}"
-            _RESOLVED["auto"] = PURE
-            return PURE
-        if backend not in _BUILDERS:
+            try:
+                kern = _RESOLVED.get("cext") or _build_cext()
+                _RESOLVED["cext"] = kern
+            except Exception as exc:
+                _BUILD_ERRORS["cext"] = f"{type(exc).__name__}: {exc}"
+                # Pure runs ~20x slower; the journal is off by default,
+                # so only stderr is sure to tell the user.
+                print(  # hp: noqa[HP014]
+                    "warning: repro compiled backend unavailable, using "
+                    f"pure NumPy: {_BUILD_ERRORS['cext']}",
+                    file=sys.stderr,
+                )
+                kern = PURE
+            _RESOLVED["auto"] = kern
+            return kern
+        if backend != "cext":
             raise ValueError(
-                f"unknown backend {backend!r}; pick auto/numba/cext/pure"
+                f"unknown backend {backend!r}; pick auto/cext/pure"
             )
         try:
-            kern = _BUILDERS[backend]()
+            kern = _build_cext()
         except NativeUnavailableError:
             raise
         except Exception as exc:
@@ -494,7 +443,7 @@ def backend_name() -> str:
 
 
 def backend_info() -> dict:
-    """Introspection dict for ``repro stats`` and the bench reports."""
+    """Introspection dict for ``repro stats`` and benchmark provenance."""
     kern = resolve("auto")
     return {
         "backend": kern.name,

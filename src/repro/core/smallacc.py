@@ -68,9 +68,10 @@ Goodrich & Eldawy (arXiv:1605.05436) frame parallel summation around.
 Backend
 -------
 ``backend="auto"`` (default) uses :mod:`repro.core.native`'s resolution
-chain (numba → C-extension → pure NumPy) for the scatter/propagate inner
-loops; ``backend="pure"`` pins the NumPy path.  All backends are
-bit-identical (gated by ``repro bench --regress``); the active choice is
+chain (C extension → pure NumPy) for the scatter/propagate inner
+loops; ``backend="pure"`` pins the NumPy path.  Both backends are
+bit-identical (pinned by ``tests/core/test_native.py`` and the engine
+gates in ``tests/core/test_smallacc.py``); the active choice is
 published as the ``smallacc.backend`` gauge and shown by ``repro
 stats``.
 """
@@ -236,8 +237,8 @@ def scatter_one(x: float, params: HPParams, nchunks: int | None = None) -> tuple
     This is the scalar oracle mirror of the engine: summing the returned
     tuples elementwise over any set of values and canonicalizing yields
     exactly the engine's :attr:`SmallAccumulator.chunks` after
-    :meth:`~SmallAccumulator.propagate` — the bit-identity anchor used
-    by ``repro bench --regress``.  (Intermediate limb splits differ from
+    :meth:`~SmallAccumulator.propagate` — the bit-identity anchor of
+    ``tests/core/test_smallacc.py``.  (Intermediate limb splits differ from
     the vectorized three-limb scatter; the represented total is equal.)
     """
     if not math.isfinite(x):
@@ -269,8 +270,8 @@ class SmallAccumulator:
     chunk:
         Elements scattered per pass (bounds temporary storage).
     backend:
-        ``"auto"`` (resolution chain), ``"pure"``, ``"numba"`` or
-        ``"cext"``; explicit compiled names raise
+        ``"auto"`` (resolution chain), ``"pure"`` or ``"cext"``;
+        an explicit ``"cext"`` raises
         :class:`repro.core.native.NativeUnavailableError` when missing.
     propagate_limit:
         Headroom units between deferred propagations (testing hook; the

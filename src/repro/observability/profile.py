@@ -30,8 +30,7 @@ total.  Three layers:
   speedscope JSON; :func:`parse_collapsed` is the strict inverse the
   tests round-trip through.
 
-``repro profile`` drives all three from the CLI; ``repro bench
---regress/--scaling --profile`` embed the cost table in their reports.
+``repro profile`` drives all three from the CLI.
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.core.bounds import UNIT_ROUNDOFF, gamma
+
 __all__ = [
     "UNIT_ROUNDOFF",
     "expected_stdev_zero_sum",
@@ -36,18 +38,6 @@ __all__ = [
     "pairwise_error_bound",
     "compensated_error_bound",
 ]
-
-#: Half the spacing of doubles at 1.0 (the rounding-error scale).
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k*u / (1 - k*u)."""
-    ku = k * UNIT_ROUNDOFF
-    if ku >= 1.0:
-        raise ValueError(f"error bound diverges for k = {k}")
-    return ku / (1.0 - ku)
-
 
 def expected_stdev_zero_sum(n: int, magnitude: float) -> float:
     """Predicted residual stdev for the paper's Fig. 1 protocol.
@@ -107,7 +97,7 @@ def recursive_error_bound(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         return 0.0
-    return _gamma(n - 1) * math.fsum(abs(x) for x in xs)
+    return gamma(n - 1) * math.fsum(abs(x) for x in xs)
 
 
 def pairwise_error_bound(xs: Sequence[float]) -> float:
@@ -115,7 +105,7 @@ def pairwise_error_bound(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         return 0.0
-    return _gamma(math.ceil(math.log2(n))) * math.fsum(abs(x) for x in xs)
+    return gamma(math.ceil(math.log2(n))) * math.fsum(abs(x) for x in xs)
 
 
 def compensated_error_bound(xs: Sequence[float]) -> float:

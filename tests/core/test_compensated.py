@@ -18,7 +18,8 @@ import pytest
 
 from repro.core import bounds
 from repro.core import compensated as comp
-from repro.core import native
+from repro.core import engines, native, planner
+from repro.experiments.datasets import wide_range_uniform
 
 #: kernel name -> bound model the engine registry advertises for it
 MODELS = {
@@ -209,3 +210,28 @@ class TestNeumaierBackends:
         assert p.count == 4
         assert p.max_abs == 8.25
         assert comp.finalize_partial(p) == math.fsum(xs)
+
+
+#: Registry names of the compensated tiers the planner routes onto.
+TIERS = ("comp-pairwise", "comp-kahan", "comp-neumaier")
+
+
+class TestRegistryTiers:
+    """The tiers as the planner runs them: through the engine registry,
+    merging several ``1 << 16`` chunks, on sign-mixed magnitudes
+    2**-30 .. 2**30."""
+
+    @pytest.mark.parametrize("name", TIERS)
+    def test_within_bound_and_deterministic(self, name):
+        spec = engines.get(name)
+        xs = wide_range_uniform(
+            1 << 18, np.random.default_rng(20160523), (-30, 30)
+        )
+        value = spec.float_total(xs, 1 << 16)
+        mass = math.fsum(np.abs(xs))
+        limit = bounds.coefficient(spec.bound_model, xs.size) * mass
+        assert abs(value - math.fsum(xs)) <= limit
+        assert spec.float_total(xs, 1 << 16) == value  # fixed order
+
+    def test_target_routes_onto_a_tier(self):
+        assert planner.plan(1 << 18, 1e-12).engine in TIERS

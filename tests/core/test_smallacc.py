@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.accumulator import HPAccumulator
-from repro.core.params import HPParams
+from repro.core.params import TABLE1_CONFIGS, HPParams
 from repro.core.smallacc import (
     PROPAGATE_LIMIT,
     SmallAccumulator,
@@ -30,6 +31,7 @@ from repro.errors import (
     ConversionOverflowError,
     MixedParameterError,
 )
+from repro.experiments.datasets import wide_range_uniform
 
 from tests.core.test_superacc import adversarial_pool
 
@@ -114,6 +116,51 @@ class TestScalarOracle:
             engine = SmallAccumulator(hp_params, backend="pure")
             engine.absorb(np.array([x]))
             assert engine.to_words() == acc.words
+
+
+def wide_summands(n: int, seed: int) -> np.ndarray:
+    """Sign-mixed magnitudes 2**-30 .. 2**30: every bin of every Table-1
+    format takes part."""
+    return wide_range_uniform(n, np.random.default_rng(seed), (-30, 30))
+
+
+class TestEngineGates:
+    """The engine's release gates: small == words on every Table-1
+    format, and small == the scalar accumulator under any summation
+    order, on the compiled backend (``auto``, where one builds) and on
+    pure NumPy."""
+
+    @pytest.mark.parametrize("backend", ["auto", "pure"])
+    @pytest.mark.parametrize(
+        "config", TABLE1_CONFIGS, ids=lambda c: f"N{c[0]}k{c[1]}"
+    )
+    def test_small_matches_words_every_table1_format(self, config, backend):
+        params = HPParams(*config)
+        xs = wide_summands(1 << 17, 20160523)
+        engine = SmallAccumulator(params, backend=backend)
+        engine.absorb(xs)
+        assert engine.to_words() == tuple(
+            batch_sum_doubles(xs, params, method="words")
+        )
+
+    @pytest.mark.parametrize("backend", ["auto", "pure"])
+    def test_small_matches_scalar_oracle_any_order(self, backend):
+        """3 permutations x 2 chunk sizes below n, at the widest format,
+        against one summand at a time through :class:`HPAccumulator`."""
+        params = HPParams(8, 4)
+        n = 1 << 17
+        xs = wide_summands(n, 20160523)
+        oracle = HPAccumulator(params, check_overflow=False)
+        for x in xs:
+            oracle.add(float(x))
+        rng = np.random.default_rng(20160524)
+        for _ in range(3):
+            permuted = xs[rng.permutation(n)]
+            for chunk in (1 << 12, 1 << 16):
+                engine = SmallAccumulator(params, chunk=chunk, backend=backend)
+                assert engine.backend == native.resolve(backend).name
+                engine.absorb(permuted)
+                assert engine.to_words() == oracle.words, (chunk, backend)
 
 
 class TestBitIdentity:

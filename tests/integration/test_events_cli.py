@@ -288,18 +288,3 @@ class TestEventsCommand:
         code, _, err = run_cli(capsys, "events", str(path))
         assert code == 2
         assert "2" in err  # names the offending line
-
-
-class TestBenchJournal:
-    def test_bench_spills_requests(self, capsys, tmp_path):
-        spill = tmp_path / "bench.jsonl"
-        code, out, _ = run_cli(
-            capsys, "bench", "--regress", "--n", "4096", "--repeats", "1",
-            "--out", str(tmp_path / "bench.json"),
-            "--journal", str(spill),
-        )
-        assert code == 0
-        assert "journal spill written" in out
-        checked, problems = validate_jsonl_file(str(spill))
-        assert checked > 0
-        assert problems == []

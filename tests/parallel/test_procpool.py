@@ -42,7 +42,8 @@ def data() -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def hp_words(data) -> tuple:
-    return HPMethod(PARAMS).local_reduce(data)
+    """Serial words from the word-matrix reference engine."""
+    return HPMethod(PARAMS, engine="words").local_reduce(data)
 
 
 def small_words(partial) -> tuple:
@@ -68,12 +69,20 @@ class TestTaskRanges:
 
 
 class TestProcsInvariance:
-    @pytest.mark.parametrize("pes", [1, 2, 3, 8])
+    @pytest.mark.parametrize("pes", [1, 2, 3, 4, 8])
     def test_pe_count_invariance(self, data, hp_words, pes):
-        """The headline: bit-identical words at every worker count."""
+        """The headline: bit-identical words at every worker count, with
+        one task per worker under the static schedule."""
         r = procpool_reduce(data, HPSmallaccMethod(PARAMS), pes)
         assert small_words(r.partial) == hp_words
         assert r.pes == pes and r.source == "shm"
+        assert r.tasks == pes
+
+    @pytest.mark.parametrize("pes", [1, 2, 4, 8])
+    def test_hp_pe_count_invariance(self, data, hp_words, pes):
+        r = procpool_reduce(data, HPMethod(PARAMS), pes)
+        assert tuple(r.partial) == hp_words
+        assert r.tasks == pes
 
     @pytest.mark.parametrize(
         "schedule",

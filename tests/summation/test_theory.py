@@ -101,7 +101,7 @@ class TestDeterministicBounds:
         assert pairwise_error_bound([]) == 0.0
 
     def test_gamma_divergence_guard(self):
-        from repro.summation.theory import _gamma
+        from repro.core.bounds import gamma
 
         with pytest.raises(ValueError):
-            _gamma(2**53)  # k*u >= 1: the bound is meaningless
+            gamma(2**53)  # k*u >= 1: the bound is meaningless
