@@ -50,11 +50,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+#: ``repro profile`` warmup: discarded passes before the measured one,
+#: and the wall budget that caps them for slow engines.
+_WARMUP_PASSES = 10
+_WARMUP_SECONDS = 0.25
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -1357,15 +1363,21 @@ def _cmd_profile(args) -> int:
     # --metrics-out, a metrics server) has armed the metrics gate, so an
     # unread registry adds no bookkeeping to the measured pass.
     #
-    # One discarded warmup pass (same policy as util.timing.repeat_timeit)
-    # so the attributed pass reflects steady-state costs, not first-call
-    # allocator/import effects — the profiler's own first spans and
-    # metric registrations included, hence armed, then wiped.  Skipped
-    # for procs: a throwaway pool spawn would cost more than the skew it
-    # removes.
+    # Discarded warmup passes so the attributed pass reflects
+    # steady-state costs, not first-call allocator/import effects — the
+    # profiler's own first spans and metric registrations included,
+    # hence armed, then wiped.  One pass is not enough: CPython 3.11
+    # quickens a function only after about eight calls, so the code
+    # that runs once per pass between the phases would still run
+    # unspecialized.  Skipped for procs: a throwaway pool spawn would
+    # cost more than the skew it removes.
     if args.substrate != "procs":
         with prof.profiled(metrics=False):
-            run()
+            deadline = time.perf_counter() + _WARMUP_SECONDS
+            for _ in range(_WARMUP_PASSES):
+                run()
+                if time.perf_counter() > deadline:
+                    break
         obs.TRACER.reset()
         obs.REGISTRY.reset()
 

@@ -40,11 +40,11 @@ Adds are allowed to pile signed spill into each chunk until the headroom
 runs out, then one :meth:`~SmallAccumulator._propagate` pass restores
 every non-top chunk to roughly one window's magnitude:
 
-* **Two-limb path** (scalar oracle, compiled kernels): each add puts at
-  most one addend of magnitude below ``2**52`` into a chunk (the high
-  limb ``mant >> (32-sub)`` can carry up to 52 significant bits), so
-  after a propagation residue (< ``2**33``) plus ``P`` adds every
-  ``|chunk| < 2**33 + P * 2**52``, which stays below ``2**63`` for
+* **Two-limb path** (scalar oracle; compiled trapped blocks): each add
+  puts at most one addend of magnitude below ``2**52`` into a chunk
+  (the high limb ``mant >> (32-sub)`` can carry up to 52 significant
+  bits), so after a propagation residue (< ``2**33``) plus ``P`` adds
+  every ``|chunk| < 2**33 + P * 2**52``, which stays below ``2**63`` for
   ``P <= 2046`` (:data:`repro.core.native.SMALL_PROPAGATE_LIMIT`).
 * **Three-limb path** (the vectorized NumPy scatter): the mantissa is
   split into 32-bit halves before shifting, so every addend stays below
@@ -64,6 +64,23 @@ propagating first when the combined account would exceed the limit:
 exact, associative, idempotent-friendly — the same contract the paper's
 Sec. III.B.3 order-invariance argument needs, and the per-PE reduction
 Goodrich & Eldawy (arXiv:1605.05436) frame parallel summation around.
+
+Large-table front end
+---------------------
+The compiled scatter (:mod:`repro.core.native`) puts Neal's *large*
+superaccumulator (Sec. 4) in front of the chunks: every summand adds its
+integer mantissa into one of 4,096 ``uint64`` table entries keyed by
+sign and exponent, and every 2,048 summands (so no entry can wrap) the
+used keys are flushed into the chunks, three 32-bit windows each.
+Before each flush a scan of the table (an entry is nonzero exactly when
+its key was hit) finds the block's largest and smallest exponent, so
+nothing but the add happens per summand.  The largest
+rejects NaN, ±inf and out-of-range summands inside the kernel, before
+the caller's chunks are touched, so :meth:`SmallAccumulator.absorb`
+runs :func:`check_finite_in_range` only after a rejection, to raise the
+usual error.  The smallest is the *exactness trap*: a block with bits
+below ``2**-frac_bits`` would truncate its key sums differently from
+its summands, so it is redone with the two-limb adds above.
 
 Backend
 -------
@@ -333,23 +350,38 @@ class SmallAccumulator:
     def absorb(self, xs: np.ndarray) -> None:
         """Scatter an array of doubles into the chunks, propagating
         deferred carries whenever the int64 headroom would run out."""
-        with _phase("smallacc.validate"):
-            xs = np.ascontiguousarray(xs, dtype=np.float64)
-            if xs.ndim != 1:
-                raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-            check_finite_in_range(xs, self.params)
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        if xs.ndim != 1:
+            raise ValueError(f"expected 1-D input, got shape {xs.shape}")
         kern = self._kernel
         if kern.compiled:
-            # The kernel propagates internally every SMALL_PROPAGATE_LIMIT
-            # adds and returns the array canonical (= one residue unit);
-            # it only needs prior spill below its starting-state budget.
+            # The kernel validates as it scatters and returns the array
+            # canonical (= one residue unit); it only needs prior spill
+            # below its starting-state budget.
             if self._pending > _NATIVE_PENDING_LIMIT:
                 self._propagate("headroom")
+            params = self.params
             with _phase("smallacc.scatter"):
-                kern.smallacc_scatter(xs, self.params.frac_bits, self._chunks)
+                ok = kern.smallacc_scatter(
+                    xs, params.frac_bits, params.whole_bits, self._chunks
+                )
+            if not ok:
+                # A rejected batch left the chunks untouched.  The kernel
+                # bounds |x| below 2**whole_bits; the format also admits
+                # exactly -2**whole_bits, so a batch that passes the
+                # exact check holds that value and fits one bit wider.
+                with _phase("smallacc.validate"):
+                    check_finite_in_range(xs, params)
+                with _phase("smallacc.scatter"):
+                    kern.smallacc_scatter(
+                        xs, params.frac_bits, params.whole_bits + 1,
+                        self._chunks,
+                    )
             self._pending = 1
             self.count += int(xs.shape[0])
         else:
+            with _phase("smallacc.validate"):
+                check_finite_in_range(xs, self.params)
             for start in range(0, xs.shape[0], self.chunk):
                 piece = xs[start : start + self.chunk]
                 if self._pending + piece.shape[0] > self.propagate_limit:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.params import HPParams
 from repro.core.scalar import from_int_scaled, Words
 from repro.core.smallacc import check_finite_in_range
@@ -258,8 +259,6 @@ def batch_sum_doubles(
     whose a-priori bound coefficient meets the mass-relative target is
     selected (``accuracy=0.0`` demands an exact engine).
     """
-    from repro.core import engines
-
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise ValueError(f"expected 1-D input, got shape {xs.shape}")

@@ -99,22 +99,22 @@ class _NullPhase:
 _NULL_PHASE = _NullPhase()
 
 
-class _PhaseContext:
+class _PhaseContext(_tracing._SpanContext):
     """Span-backed phase region; records metrics on exit when armed."""
 
-    __slots__ = ("_name", "_cm", "_span")
+    __slots__ = ("_name",)
 
     def __init__(self, name: str, attrs: dict) -> None:
+        # Built directly rather than through TRACER.span() and a nested
+        # context: whatever runs between two phases is wall time that no
+        # phase explains.
+        _tracing._SpanContext.__init__(
+            self, TRACER, Span(PHASE_PREFIX + name, attrs)
+        )
         self._name = name
-        self._cm = TRACER.span(PHASE_PREFIX + name, **attrs)
-        self._span: Span | None = None
-
-    def __enter__(self) -> Span:
-        self._span = self._cm.__enter__()
-        return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._cm.__exit__(exc_type, exc, tb)
+        _tracing._SpanContext.__exit__(self, exc_type, exc, tb)
         if _metrics.ENABLED:
             seconds = self._span.duration_s or 0.0
             reg = _metrics.REGISTRY

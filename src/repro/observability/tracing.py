@@ -162,15 +162,17 @@ class TraceContext:
         )
 
     # Wire form for byte transports (simmpi message headers).  Fixed
-    # width keeps the parse trivial: magic + 16 hex chars + 16 hex chars
-    # of parent span id (0 means "no parent").
+    # width keeps the parse trivial: magic + 16 chars of trace id + 16
+    # hex chars of parent span id (0 means "no parent").  A shorter id
+    # is padded with "-", never a hex digit, so an id that starts with
+    # "0" comes back whole.
     _MAGIC = b"RTC1"
     HEADER_LEN = 4 + 16 + 16
 
     def to_header(self) -> bytes:
         return (
             self._MAGIC
-            + self.trace_id[:16].rjust(16, "0").encode("ascii")
+            + self.trace_id[:16].rjust(16, "-").encode("ascii")
             + format(self.span_id or 0, "016x").encode("ascii")
         )
 
@@ -180,7 +182,7 @@ class TraceContext:
         when the payload carries no header."""
         if len(payload) >= cls.HEADER_LEN and payload[:4] == cls._MAGIC:
             try:
-                trace_id = payload[4:20].decode("ascii").lstrip("0") or "0"
+                trace_id = payload[4:20].decode("ascii").lstrip("-") or "0"
                 span_id = int(payload[20:36], 16) or None
             except (UnicodeDecodeError, ValueError):
                 return None, payload

@@ -13,6 +13,7 @@ loading a damaged shared object can kill the interpreter with a signal.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import stat
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import native
+from repro.core import native, planner
 from repro.core.params import HPParams
 from repro.core.smallacc import (
     SmallAccumulator,
@@ -31,8 +32,14 @@ from repro.core.smallacc import (
     bins_from_int,
     fold_bins,
 )
+from repro.core.vectorized import batch_sum_doubles
+from repro.errors import ConversionOverflowError
+from repro.observability.metrics import REGISTRY
+from repro.observability.profile import profiled
+from repro.observability.tracing import TRACER
+from repro.parallel.drivers import global_sum
 
-from tests.core.test_superacc import adversarial_pool
+from tests.core.test_superacc import adversarial_pool, words
 
 P = HPParams(3, 2)
 
@@ -100,7 +107,8 @@ class TestKernelBitIdentity:
         xs = adversarial_pool(hp_params, rng, 800)
         chunks = np.zeros(bin_count(hp_params), dtype=np.int64)
         kern.smallacc_scatter(
-            np.ascontiguousarray(xs), hp_params.frac_bits, chunks
+            np.ascontiguousarray(xs), hp_params.frac_bits,
+            hp_params.whole_bits, chunks,
         )
         pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
@@ -135,7 +143,9 @@ class TestKernelBitIdentity:
         n = 3 * native.SMALL_PROPAGATE_LIMIT + 17
         xs = adversarial_pool(P, rng, n)
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(np.ascontiguousarray(xs), P.frac_bits, chunks)
+        kern.smallacc_scatter(
+            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, chunks
+        )
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -148,7 +158,9 @@ class TestKernelBitIdentity:
         xs = np.array([5e-324, -5e-324, 2.0**-1022, 0.0, -0.0,
                        2.0**-1040, -(2.0**-1060)])
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(np.ascontiguousarray(xs), P.frac_bits, chunks)
+        kern.smallacc_scatter(
+            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, chunks
+        )
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -167,6 +179,162 @@ class TestKernelBitIdentity:
         whole = SmallAccumulator(hp_params, backend="pure")
         whole.absorb(xs)
         assert a.total() == whole.total()
+
+
+def _absorb_both(xs, params, seed_xs=None):
+    """Absorb ``xs`` on both backends after an optional ``seed_xs``
+    batch; return the (compiled, pure) accumulators and the errors the
+    two raised, checking that a rejected batch left no trace."""
+    accs, errors = [], []
+    for backend in ("cext", "pure"):
+        acc = SmallAccumulator(params, backend=backend)
+        if seed_xs is not None:
+            acc.absorb(seed_xs)
+        before = (acc.chunks, acc.count)
+        try:
+            acc.absorb(xs)
+        except ConversionOverflowError as exc:
+            # A rejected batch leaves the accumulator as it was.
+            assert (acc.chunks, acc.count) == before
+            errors.append(exc)
+        accs.append(acc)
+    return accs, errors
+
+
+def _assert_exact_on_both(xs, params):
+    """Compiled words == pure words == the words engine's."""
+    (compiled, pure), errors = _absorb_both(xs, params)
+    assert not errors
+    assert compiled.to_words() == pure.to_words() == words(xs, params)
+
+
+class TestLargeTableKernel:
+    """The compiled scatter's table path, its exactness trap and its
+    in-kernel validation against pure and the words engine."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self):
+        _compiled_or_skip()
+
+    def test_trap_at_tiny_exponents_via_entry_points(self, rng):
+        # Values at 2**-150 have bits below HP(3,2)'s 2**-128: blocks
+        # holding one take the per-summand path, the others the table.
+        xs = rng.uniform(-1.0, 1.0, 5 * 2048 + 33)
+        tiny = rng.choice(xs.shape[0], 7, replace=False)
+        xs[tiny] = np.ldexp(rng.uniform(1.0, 2.0, 7), -150) * rng.choice(
+            [-1.0, 1.0], 7
+        )
+        start = tiny[0] // 2048 * 2048
+        xs[start : start + 5] = 3 * 2.0**-140
+        want = words(xs, P)
+        assert batch_sum_doubles(xs, P, method="small") == want
+        assert global_sum(xs, "hp", params=P).words == want
+        for backend in ("cext", "pure"):
+            assert smallacc_words(xs, P, backend) == want
+
+    @pytest.mark.parametrize("params", [P, HPParams(19, 18), HPParams(18, 17)])
+    def test_subnormals_and_signed_zeros(self, rng, params):
+        xs = rng.uniform(-1.0, 1.0, 3 * 2048 + 1)
+        picks = rng.choice(xs.shape[0], 600, replace=False)
+        xs[picks] = rng.choice(
+            [0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -(2.0**-1060),
+             2.0**-1022, -(2.0**-1022 - 5e-324)], 600
+        )
+        _assert_exact_on_both(xs, params)
+        # A block of nothing but subnormals and zeros.
+        _assert_exact_on_both(xs[picks], params)
+        _assert_exact_on_both(np.full(3000, -0.0), params)
+
+    @pytest.mark.parametrize("n", [5, 4097])
+    def test_negative_range_edge_is_accepted(self, rng, n):
+        # The rest sums positive, so the total stays in range too.
+        xs = rng.uniform(0.0, 1.0, n)
+        xs[n // 2] = -(2.0**P.whole_bits)
+        _assert_exact_on_both(xs, P)
+
+    @pytest.mark.parametrize("n", [5, 4097])
+    def test_positive_range_edge_is_rejected(self, rng, n):
+        xs = rng.uniform(-1.0, 1.0, n)
+        xs[n // 2] = 2.0**P.whole_bits
+        _, (got, want) = _absorb_both(xs, P, rng.uniform(-1, 1, 300))
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2047, 2048, -1])
+    def test_nonfinite_rejected_like_pure(self, rng, bad, where):
+        xs = rng.uniform(-1.0, 1.0, 3 * 2048 + 5)
+        xs[where] = bad
+        _, (got, want) = _absorb_both(xs, P, rng.uniform(-1, 1, 300))
+        assert type(got) is type(want) and str(got) == str(want)
+
+    def test_wide_format_rejects_negative_infinity(self, rng):
+        params = HPParams(18, 1)  # whole_bits >= 1024: every finite double
+        assert params.whole_bits >= 1024
+        xs = rng.uniform(-1.0, 1.0, 4100)
+        xs[[7, 3000]] = -1.7e308, 1.7e308
+        _assert_exact_on_both(xs, params)
+        xs[4000] = -math.inf
+        _, (got, want) = _absorb_both(xs, params)
+        assert str(got) == str(want)
+
+    def test_block_sums_cannot_wrap(self):
+        # One key summing all-ones mantissas: 2,048 of them is the most
+        # a table entry holds, so any wider block would wrap.
+        xs = np.full(5 * 2048 + 3, 2.0**11 - 2.0**-42)
+        xs[::3] *= -1.0
+        _assert_exact_on_both(xs, P)
+        _assert_exact_on_both(np.abs(xs), P)
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_illconditioned_on_the_planned_format(self, seed):
+        # The benchmark's cancelling ± pairs over 2**-60..2**61, on the
+        # HP(4,2) the planner picks for them.
+        x = illconditioned(np.random.default_rng(seed), 1 << 15)
+        assert planner.planned_sum(x, 0.0).params == HPParams(4, 2)
+        _assert_exact_on_both(x, HPParams(4, 2))
+        _assert_exact_on_both(x[:2049], HPParams(4, 2))
+
+    def test_known_answer_records_no_telemetry(self):
+        # The self-test runs inside resolve(), under the caller's phase,
+        # so with every gate armed it must still leave nothing behind.
+        kern = _compiled_or_skip()
+        REGISTRY.clear()
+        TRACER.reset()
+        try:
+            with profiled():
+                assert native._known_answer(kern)
+            assert REGISTRY.collect() == [] and TRACER.spans() == []
+        finally:
+            REGISTRY.clear()
+            TRACER.reset()
+
+    def test_threads_native_matches_serial(self, rng):
+        # Two real threads run the kernel at once with the GIL released.
+        xs = np.ldexp(rng.uniform(-1.0, 1.0, 1 << 20),
+                      rng.integers(-40, 40, 1 << 20))
+        serial = global_sum(xs, "hp")
+        threaded = global_sum(xs, "hp", "threads", 2, engine="native")
+        assert threaded.words == serial.words
+
+
+def smallacc_words(xs, params, backend):
+    acc = SmallAccumulator(params, backend=backend)
+    acc.absorb(xs)
+    return acc.to_words()
+
+
+def illconditioned(rng, n):
+    """± pairs with exponents 2**-60..2**60 that cancel to a 1e-9
+    relative residue, shuffled, with both extremes pinned."""
+    half = n // 2
+    a = np.ldexp(rng.uniform(1.0, 2.0, half), rng.integers(-60, 60, half))
+    a *= rng.choice((-1.0, 1.0), half)
+    a[0], a[1] = 1.5 * 2.0**60, 2.0**-60
+    residue = rng.uniform(-1e-9, 1e-9, half)
+    residue[:2] = 0.0
+    x = np.concatenate([a, -(a * (1.0 + residue))])
+    rng.shuffle(x)
+    return x
 
 
 class TestEngineBackendSelection:
@@ -321,3 +489,30 @@ class TestCompiledCache:
             build / "repro-native", "import os\nos.umask(0o002)\n"
         )
         assert info["backend"] == "cext"
+
+    def test_wrong_object_with_its_hash_is_rebuilt(self, built_cache, cache):
+        # An object that loads and matches its recorded hash but scatters
+        # wrong: only the known-answer test can tell.
+        so = shared_object(cache)
+        wrong = native._C_SOURCE.replace(
+            "chunks[base + i] += local[i];",
+            "chunks[base + i] += local[i] + 1;",
+        )
+        assert wrong != native._C_SOURCE
+        subprocess.run(
+            [native._find_cc(), "-O2", "-shared", "-fPIC", "-x", "c", "-o",
+             str(so), "-"], input=wrong, text=True, check=True,
+        )
+        Path(str(so) + ".sha256").write_text(native._sha256(str(so)) + "\n")
+        info, err = run_probe(cache)
+        assert info["backend"] == "cext" and err == ""
+        good = shared_object(built_cache)
+        assert native._sha256(str(so)) == native._sha256(str(good))
+
+    def test_failing_known_answer_falls_back_to_pure(self, cache):
+        failing = ("from repro.core import native\n"
+                   "native._known_answer = lambda kern: False\n")
+        info, err = run_probe(cache, failing)
+        assert info["backend"] == "pure"
+        assert "known-answer" in info["build_errors"]["cext"]
+        assert err.count("warning:") == 1

@@ -53,6 +53,15 @@ class TestWireForms:
         assert back.trace_id == ctx.trace_id
         assert back.span_id == 42
 
+    @pytest.mark.parametrize(
+        "trace_id", ["0bcdef0123456789", "00000000000000a7", "abc"]
+    )
+    def test_header_keeps_every_digit_of_the_trace_id(self, trace_id):
+        # One minted id in 16 starts with "0"; its messages must still
+        # journal under the request's trace.
+        back, _ = TraceContext.from_header(TraceContext(trace_id).to_header())
+        assert back.trace_id == trace_id
+
     def test_header_without_span_id(self):
         ctx = TraceContext("abcdef0123456789")
         back, _ = TraceContext.from_header(ctx.to_header())
