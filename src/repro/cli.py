@@ -591,9 +591,7 @@ def _cmd_sum_substrate(args, xs=None, decision=None) -> int:
         )
         print(repr(r.value))
         if args.words and adapter.is_exact():
-            from repro.parallel.drivers import _extract_words
-
-            words = _extract_words(adapter, r.partial)
+            words = adapter.result(r.partial)[1]
             print(f"{adapter.name}:", _format_words(adapter.name, words))
         return 0
 
@@ -1251,11 +1249,13 @@ def _cmd_events(args) -> int:
 def _profile_workload(args):
     """Build the (callable, label) pair ``repro profile`` measures."""
     from repro.core.params import HPParams
-    from repro.core.vectorized import batch_sum_doubles, batch_to_double
+    from repro.core.scalar import to_double
+    from repro.core.vectorized import batch_sum_doubles
     from repro.experiments.datasets import wide_range_uniform
     from repro.hallberg.params import HallbergParams
     from repro.hallberg.scalar import hb_to_double
     from repro.hallberg.vectorized import hb_batch_sum_doubles
+    from repro.observability.profile import phase
 
     seed = args.seed if args.seed is not None else 20160523
     xs = wide_range_uniform(args.n, np.random.default_rng(seed), (-30, 30))
@@ -1301,8 +1301,9 @@ def _profile_workload(args):
 
     def run():
         words = batch_sum_doubles(xs, hp, method=method)
-        row = np.array([words], dtype=np.uint64)
-        return float(batch_to_double(row, hp)[0])
+        # One row decodes the way a request does.
+        with phase("hp.round"):
+            return to_double(words, hp)
 
     return xs, run
 

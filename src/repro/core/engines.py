@@ -12,7 +12,8 @@ capability set the CLI and benches can introspect.
 Specs resolve their implementations through *lazy* callables (imports
 happen inside the spec functions), so this module can sit at the bottom
 of :mod:`repro.core` without import cycles, and registering an engine
-never pays for engines the process doesn't use.
+never pays for engines the process doesn't use; only the default
+engine's total, on every exact request's path, is imported directly.
 
 Registered engines
 ------------------
@@ -61,6 +62,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.params import HPParams
+from repro.core.smallacc import smallacc_total
 
 __all__ = [
     "EngineSpec",
@@ -74,6 +76,7 @@ __all__ = [
     "register",
     "scaled_total",
     "specs",
+    "total_function",
 ]
 
 
@@ -146,11 +149,12 @@ class EngineSpec:
 
 _REGISTRY: dict[str, EngineSpec] = {}
 _ALIASES: dict[str, str] = {}
+_ADAPTERS: dict[str, EngineSpec] = {}
 
 
 def register(spec: EngineSpec) -> EngineSpec:
     """Register an engine spec (idempotent per canonical name)."""
-    _REGISTRY[spec.name] = spec
+    _REGISTRY[spec.name] = _ADAPTERS[spec.adapter_name] = spec
     for alias in spec.aliases:
         _ALIASES[alias] = spec.name
     return spec
@@ -189,38 +193,40 @@ def specs() -> tuple[EngineSpec, ...]:
 
 def adapter_names() -> tuple[str, ...]:
     """Parallel method names contributed by registered engines."""
-    return tuple(spec.adapter_name for spec in _REGISTRY.values())
+    return tuple(_ADAPTERS)
 
 
 def adapter_factory(method_name: str):
     """The adapter factory for a parallel method name, or ``None`` —
     :func:`repro.parallel.drivers.make_method` resolves engine-backed
     methods here instead of growing its own ladder."""
-    for spec in _REGISTRY.values():
-        if spec.adapter_name == method_name:
-            return spec.make_adapter
-    return None
+    spec = _ADAPTERS.get(method_name)
+    return spec and spec.make_adapter
 
 
 def engine_for_adapter(method_name: str) -> str | None:
     """Canonical engine name behind a parallel method name, if any."""
-    for spec in _REGISTRY.values():
-        if spec.adapter_name == method_name:
-            return spec.name
-    return None
+    spec = _ADAPTERS.get(method_name)
+    return spec and spec.name
 
 
-def scaled_total(
-    xs: np.ndarray, params: HPParams, chunk: int, method: str
-) -> int:
-    """Exact scaled-integer total of ``xs`` via the named engine."""
+def total_function(method: str) -> Callable[[np.ndarray, HPParams, int], int]:
+    """The named engine's exact ``(xs, params, chunk) -> int`` total, for
+    callers that bind it once; inexact engines raise ``ValueError``."""
     spec = get(method)
     if spec.scaled_total is None:
         raise ValueError(
             f"engine {spec.name!r} is inexact and has no scaled integer "
             f"total; exact engines: {', '.join(exact_names())}"
         )
-    return spec.scaled_total(xs, params, chunk)
+    return spec.scaled_total
+
+
+def scaled_total(
+    xs: np.ndarray, params: HPParams, chunk: int, method: str
+) -> int:
+    """Exact scaled-integer total of ``xs`` via the named engine."""
+    return total_function(method)(xs, params, chunk)
 
 
 def batch_words(
@@ -255,12 +261,6 @@ def batch_words(
 # ---------------------------------------------------------------------------
 
 
-def _small_total(xs, params, chunk):
-    from repro.core.smallacc import smallacc_total
-
-    return smallacc_total(xs, params, chunk=chunk)
-
-
 def _small_adapter(params, chunk=1 << 20):
     from repro.parallel.methods import HPSmallaccMethod
 
@@ -270,7 +270,9 @@ def _small_adapter(params, chunk=1 << 20):
 def _words_total(xs, params, chunk):
     from repro.core.vectorized import words_scaled_total
 
-    return words_scaled_total(xs, params, chunk)
+    return words_scaled_total(
+        np.ascontiguousarray(xs, dtype=np.float64), params, chunk
+    )
 
 
 def _words_adapter(params, chunk=1 << 20):
@@ -288,7 +290,7 @@ register(
             "Neal small accumulator, deferred in-place carries, "
             "optional compiled backend (repro.core.smallacc)"
         ),
-        scaled_total=_small_total,
+        scaled_total=smallacc_total,
         adapter_name="hp-small",
         make_adapter=_small_adapter,
         capabilities=frozenset(

@@ -77,6 +77,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "KernelSet",
     "NativeUnavailableError",
@@ -104,18 +106,18 @@ class KernelSet:
 
     Uniform Python-side signatures (arrays are contiguous, caller-owned):
 
-    * ``smallacc_scatter(xs, frac_bits, whole_bits, chunks) -> bool`` —
-      exact scatter of every element of ``xs`` (float64) into ``chunks``
-      (int64, ``bin_count`` long, prior spill below ``2**52``), which
-      returns fully propagated.  It validates as it goes: ``False``
+    * ``smallacc_chunks(xs, frac_bits, whole_bits, nchunks)`` — exact
+      scatter of every element of ``xs`` (float64) into a fresh,
+      canonical ``int64`` chunk array of ``nchunks`` (``bin_count``)
+      entries, in one kernel call.  It validates as it goes: ``None``
       means some element is NaN, infinite or has ``|x| >=
-      2**whole_bits``, and ``chunks`` is then untouched.  The format
-      also admits exactly ``-2**whole_bits``; the caller that finds only
-      that value retries with ``whole_bits + 1``.  Neal's large
-      superaccumulator runs in front of the two-limb adds (see the C
-      source); blocks with bits below the format's resolution take the
-      two-limb adds, which propagate every
-      :data:`SMALL_PROPAGATE_LIMIT` adds.
+      2**whole_bits``.  The format also admits exactly
+      ``-2**whole_bits``; the caller that finds only that value retries
+      with ``whole_bits + 1``.  Neal's large superaccumulator runs in
+      front of the two-limb adds (see the C source); blocks with bits
+      below the format's resolution take the two-limb adds, which
+      propagate every :data:`SMALL_PROPAGATE_LIMIT` adds.  The fresh
+      array is a ctypes one, so only ``xs``'s address is looked up.
     * ``propagate(chunks)`` — one full sequential carry sweep leaving
       the canonical decomposition (non-negative 32-bit low windows,
       signed top chunk).
@@ -129,13 +131,13 @@ class KernelSet:
     """
 
     name: str
-    smallacc_scatter: Callable | None
+    smallacc_chunks: Callable | None
     propagate: Callable | None
     neumaier_partial: Callable | None = None
 
     @property
     def compiled(self) -> bool:
-        return self.smallacc_scatter is not None
+        return self.smallacc_chunks is not None
 
 
 #: The pure backend: engines use their own NumPy loops.
@@ -489,12 +491,14 @@ def _load(so_path: str) -> tuple[ctypes.CDLL, KernelSet]:
     lib.repro_smallacc_propagate.restype = None
     lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
     lib.repro_neumaier_partial.restype = None
+    scatter = lib.repro_smallacc_scatter
 
-    def smallacc_scatter(xs, frac_bits: int, whole_bits: int, chunks) -> bool:
-        return lib.repro_smallacc_scatter(
-            xs.ctypes.data, xs.shape[0], frac_bits, whole_bits,
-            chunks.ctypes.data, chunks.shape[0],
-        ) == 0
+    def smallacc_chunks(xs, frac_bits: int, whole_bits: int, nchunks: int):
+        chunks = (c_i64 * nchunks)()
+        if scatter(xs.ctypes.data, xs.shape[0], frac_bits, whole_bits,
+                   chunks, nchunks):
+            return None
+        return np.frombuffer(chunks, dtype=np.int64)
 
     def propagate(chunks) -> None:
         lib.repro_smallacc_propagate(chunks.ctypes.data, chunks.shape[0])
@@ -506,7 +510,7 @@ def _load(so_path: str) -> tuple[ctypes.CDLL, KernelSet]:
         )
         return (out[0], out[1], out[2])
 
-    return lib, KernelSet("cext", smallacc_scatter, propagate,
+    return lib, KernelSet("cext", smallacc_chunks, propagate,
                           neumaier_partial)
 
 
@@ -522,8 +526,6 @@ def _known_answer_cases():
     subnormal floor, so subnormals of both signs and an odd tail take
     the table path there.
     """
-    import numpy as np
-
     from repro.core.params import HPParams
 
     i = np.arange(2061)
@@ -539,11 +541,9 @@ def _known_answer_cases():
 
 def _known_answer(kern: KernelSet) -> bool:
     """True when the compiled scatter gives the pure scatter's chunks on
-    :func:`_known_answer_cases` and rejects infinity without touching
-    the chunks.  A matching hash only proves the object is the one a
-    build wrote, not that it computes right."""
-    import numpy as np
-
+    :func:`_known_answer_cases` and rejects infinity.  A matching hash
+    only proves the object is the one a build wrote, not that it
+    computes right."""
     from repro.core.smallacc import (
         _scatter_chunk, bin_count, bins_from_int, fold_bins,
     )
@@ -554,19 +554,15 @@ def _known_answer(kern: KernelSet) -> bool:
         # would record metrics and spans for this test.
         want = np.zeros(nbins, dtype=np.int64)
         _scatter_chunk(xs, params, want)
-        got = np.zeros(nbins, dtype=np.int64)
         frac, whole = params.frac_bits, params.whole_bits
-        if not kern.smallacc_scatter(xs, frac, whole, got):
+        got = kern.smallacc_chunks(xs, frac, whole, nbins)
+        if got is None or tuple(got.tolist()) != bins_from_int(
+            fold_bins(want), nbins
+        ):
             return False
-        want = bins_from_int(fold_bins(want), nbins)
-        if tuple(int(v) for v in got) != want:
-            return False
-    before = got.copy()
     ys = xs.copy()
     ys[-1] = math.inf
-    if kern.smallacc_scatter(ys, frac, whole, got):
-        return False
-    return bool((got == before).all())
+    return kern.smallacc_chunks(ys, frac, whole, nbins) is None
 
 
 def _build_cext() -> KernelSet:
@@ -603,54 +599,58 @@ def _build_cext() -> KernelSet:
 # ---------------------------------------------------------------------------
 
 def resolve(backend: str = "auto") -> KernelSet:
-    """Resolve a backend name to a :class:`KernelSet`.
+    """Resolve a backend name to a :class:`KernelSet`, once per process.
 
     ``auto`` walks the chain cext -> pure, honoring
     ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; a failure along the chain
-    degrades to pure with one stderr warning (the reason is recorded in
-    :func:`backend_info`).  An explicit ``cext`` raises
-    :class:`NativeUnavailableError` when the backend cannot be provided;
-    explicit ``pure`` always succeeds.
+    degrades to pure with one stderr warning and one ``native.fallback``
+    journal event (the reason is recorded in :func:`backend_info`).  An
+    explicit ``cext`` raises :class:`NativeUnavailableError` when the
+    backend cannot be provided; explicit ``pure`` always succeeds.
+    Every answer is cached: the environment is read on the first call
+    only, and again only after :func:`_reset_for_tests`.
     """
+    kern = _RESOLVED.get(backend)
+    if kern is None:
+        with _LOCK:
+            kern = _RESOLVED.get(backend) or _resolve_locked(backend)
+            _RESOLVED[backend] = kern
+    return kern
+
+
+def _resolve_locked(backend: str) -> KernelSet:
     if backend == "auto":
         env = os.environ.get("REPRO_NATIVE", "").strip().lower()
-        if env and env != "auto":
-            backend = env
-    if backend == "pure" or (backend == "auto" and force_pure()):
-        return PURE
-    with _LOCK:
-        if backend in _RESOLVED:
-            return _RESOLVED[backend]
-        if backend == "auto":
-            try:
-                kern = _RESOLVED.get("cext") or _build_cext()
-                _RESOLVED["cext"] = kern
-            except Exception as exc:
-                _BUILD_ERRORS["cext"] = f"{type(exc).__name__}: {exc}"
-                # Pure runs ~20x slower; the journal is off by default,
-                # so only stderr is sure to tell the user.
-                print(  # hp: noqa[HP014]
-                    "warning: repro compiled backend unavailable, using "
-                    f"pure NumPy: {_BUILD_ERRORS['cext']}",
-                    file=sys.stderr,
-                )
-                kern = PURE
-            _RESOLVED["auto"] = kern
-            return kern
-        if backend != "cext":
-            raise ValueError(
-                f"unknown backend {backend!r}; pick auto/cext/pure"
-            )
+        if env not in ("", "auto"):
+            return _resolve_locked(env)
+        if force_pure():
+            return PURE
         try:
-            kern = _build_cext()
-        except NativeUnavailableError:
-            raise
+            _RESOLVED["cext"] = _RESOLVED.get("cext") or _build_cext()
         except Exception as exc:
-            raise NativeUnavailableError(
-                f"{backend} backend failed: {exc}"
-            ) from exc
-        _RESOLVED[backend] = kern
-        return kern
+            reason = _BUILD_ERRORS["cext"] = f"{type(exc).__name__}: {exc}"
+            # Pure runs ~20x slower; the journal is off by default,
+            # so only stderr is sure to tell the user.
+            print(  # hp: noqa[HP014]
+                "warning: repro compiled backend unavailable, using "
+                f"pure NumPy: {reason}",
+                file=sys.stderr,
+            )
+            from repro.observability import journal
+
+            journal.emit("native.fallback", backend="pure", reason=reason)
+            return PURE
+        return _RESOLVED["cext"]
+    if backend == "pure":
+        return PURE
+    if backend != "cext":
+        raise ValueError(f"unknown backend {backend!r}; pick auto/cext/pure")
+    try:
+        return _build_cext()
+    except NativeUnavailableError:
+        raise
+    except Exception as exc:
+        raise NativeUnavailableError(f"{backend} backend failed: {exc}") from exc
 
 
 def backend_name() -> str:

@@ -56,8 +56,9 @@ class HPParams:
             raise ParameterError(f"k must be in [0, N={self.n}], got {self.k}")
 
     # -- derived bit geometry ------------------------------------------------
+    # Cached: every exact request reads them, and the fields are frozen.
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         """Total storage width in bits, ``64 * N``."""
         return WORD_BITS * self.n
@@ -67,12 +68,12 @@ class HPParams:
         """Value bits: every bit except the single sign bit (``64*N - 1``)."""
         return self.total_bits - 1
 
-    @property
+    @cached_property
     def frac_bits(self) -> int:
         """Bits to the right of the binary point, ``64 * k``."""
         return WORD_BITS * self.k
 
-    @property
+    @cached_property
     def whole_bits(self) -> int:
         """Bits to the left of the binary point, excluding sign."""
         return self.total_bits - self.frac_bits - 1
@@ -89,7 +90,7 @@ class HPParams:
         """Most negative underlying integer, ``-2**(64N-1)``."""
         return -(1 << self.precision_bits)
 
-    @property
+    @cached_property
     def scale(self) -> int:
         """Denominator of the fixed-point scale, ``2**(64k)``."""
         return 1 << self.frac_bits

@@ -76,7 +76,7 @@ Before each flush a scan of the table (an entry is nonzero exactly when
 its key was hit) finds the block's largest and smallest exponent, so
 nothing but the add happens per summand.  The largest
 rejects NaN, ±inf and out-of-range summands inside the kernel, before
-the caller's chunks are touched, so :meth:`SmallAccumulator.absorb`
+it writes its fresh chunk array, so the compiled path
 runs :func:`check_finite_in_range` only after a rejection, to raise the
 usual error.  The smallest is the *exactness trap*: a block with bits
 below ``2**-frac_bits`` would truncate its key sums differently from
@@ -113,8 +113,10 @@ __all__ = [
     "SmallAccumulator",
     "bin_count",
     "bins_from_int",
+    "canonical_chunks",
     "check_finite_in_range",
     "fold_bins",
+    "fold_canonical",
     "scatter_one",
     "smallacc_total",
 ]
@@ -128,12 +130,6 @@ BIN_BITS = 32
 #: three-limb scatter's largest addend, and one propagation residue), so
 #: at the limit every ``|chunk| < (2**30 - 1) * 2**33 < 2**63``.
 PROPAGATE_LIMIT = (1 << 30) - 2
-
-#: Pending-unit ceiling before handing the array to a compiled kernel,
-#: whose own in-loop propagation cadence assumes starting chunks below
-#: ``2**53``: ``2**19`` units * ``2**33`` = ``2**52`` of prior spill
-#: still leaves the kernel's ``2046 * 2**52`` budget intact.
-_NATIVE_PENDING_LIMIT = 1 << 19
 
 _MANT_BITS = 53
 _DEFAULT_CHUNK = 1 << 20
@@ -166,6 +162,15 @@ def fold_bins(bins) -> int:
     for i, limb in enumerate(bins):
         total += int(limb) << (BIN_BITS * i)
     return total
+
+
+def fold_canonical(chunks: np.ndarray) -> int:
+    """:func:`fold_bins` of a canonical ``int64`` chunk array in one
+    conversion: the non-negative 32-bit windows below the top chunk are
+    the low bytes of the total, and the signed top chunk its high part."""
+    with _phase("smallacc.fold"):
+        low = chunks[:-1].astype("<u4").tobytes()
+        return int.from_bytes(low, "little") + (int(chunks[-1]) << (8 * len(low)))
 
 
 def bins_from_int(value: int, nbins: int) -> tuple[int, ...]:
@@ -355,29 +360,12 @@ class SmallAccumulator:
             raise ValueError(f"expected 1-D input, got shape {xs.shape}")
         kern = self._kernel
         if kern.compiled:
-            # The kernel validates as it scatters and returns the array
-            # canonical (= one residue unit); it only needs prior spill
-            # below its starting-state budget.
-            if self._pending > _NATIVE_PENDING_LIMIT:
+            # Fresh canonical chunks are one residue unit.
+            fresh = canonical_chunks(xs, self.params, backend=kern.name)
+            if self._pending + 1 > self.propagate_limit:
                 self._propagate("headroom")
-            params = self.params
-            with _phase("smallacc.scatter"):
-                ok = kern.smallacc_scatter(
-                    xs, params.frac_bits, params.whole_bits, self._chunks
-                )
-            if not ok:
-                # A rejected batch left the chunks untouched.  The kernel
-                # bounds |x| below 2**whole_bits; the format also admits
-                # exactly -2**whole_bits, so a batch that passes the
-                # exact check holds that value and fits one bit wider.
-                with _phase("smallacc.validate"):
-                    check_finite_in_range(xs, params)
-                with _phase("smallacc.scatter"):
-                    kern.smallacc_scatter(
-                        xs, params.frac_bits, params.whole_bits + 1,
-                        self._chunks,
-                    )
-            self._pending = 1
+            self._chunks += fresh
+            self._pending += 1
             self.count += int(xs.shape[0])
         else:
             with _phase("smallacc.validate"):
@@ -390,10 +378,10 @@ class SmallAccumulator:
                     _scatter_chunk(piece, self.params, self._chunks)
                 self._pending += int(piece.shape[0])
                 self.count += int(piece.shape[0])
-        if _obs.ENABLED:
-            _obs.REGISTRY.counter(
-                "smallacc.scatter_bytes", n=self.params.n, k=self.params.k
-            ).inc(2 * 8 * int(xs.shape[0]))
+            if _obs.ENABLED:
+                _obs.REGISTRY.counter(
+                    "smallacc.scatter_bytes", n=self.params.n, k=self.params.k
+                ).inc(2 * 8 * int(xs.shape[0]))
 
     def _propagate(self, reason: str) -> None:
         """One vectorized carry pass: every non-top chunk keeps its
@@ -503,19 +491,52 @@ class SmallAccumulator:
         )
 
 
+def canonical_chunks(
+    xs: np.ndarray,
+    params: HPParams,
+    chunk: int = _DEFAULT_CHUNK,
+    backend: str = "auto",
+) -> np.ndarray:
+    """Canonical (:func:`bins_from_int` form) chunks of the exact sum of
+    the 1-D ``xs``, or :class:`ConversionOverflowError`.  Compiled: one
+    kernel call into a fresh array, no accumulator object.  Pure: a
+    :class:`SmallAccumulator` and its canonical sweep."""
+    kern = _native.resolve(backend)
+    if not kern.compiled:
+        engine = SmallAccumulator(params, chunk=chunk, backend="pure")
+        engine.absorb(xs)
+        engine.propagate()
+        return engine._chunks
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.ndim != 1:
+        raise ValueError(f"expected 1-D input, got shape {xs.shape}")
+    frac, whole, nchunks = params.frac_bits, params.whole_bits, bin_count(params)
+    with _phase("smallacc.scatter"):
+        chunks = kern.smallacc_chunks(xs, frac, whole, nchunks)
+    if chunks is None:
+        # The kernel bounds |x| below 2**whole_bits; the format also
+        # admits exactly -2**whole_bits, so a batch that passes the
+        # exact check holds that value and fits one bit wider.
+        with _phase("smallacc.validate"):
+            check_finite_in_range(xs, params)
+        with _phase("smallacc.scatter"):
+            chunks = kern.smallacc_chunks(xs, frac, whole + 1, nchunks)
+    if _obs.ENABLED:
+        reg = _obs.REGISTRY
+        reg.gauge("smallacc.backend", backend=kern.name).set(1)
+        reg.counter("smallacc.scatter_bytes", n=params.n, k=params.k).inc(
+            2 * 8 * int(xs.shape[0])
+        )
+    return chunks
+
+
 def smallacc_total(
     xs: np.ndarray,
     params: HPParams,
     chunk: int = _DEFAULT_CHUNK,
     backend: str = "auto",
 ) -> int:
-    """Exact signed scaled-integer sum of ``xs`` via the small engine.
-
-    This is the kernel behind the ``method="small"`` path of
-    :func:`repro.core.vectorized.batch_sum_doubles`; callers wanting HP
-    words should use that entry point (or the engine registry).
-    """
-    engine = SmallAccumulator(params, chunk=chunk, backend=backend)
-    engine.absorb(xs)
-    return engine.total()
-
+    """Exact signed scaled-integer sum of ``xs`` via the small engine,
+    from one :func:`canonical_chunks` and one fold: the total the ``hp``
+    adapter binds and ``batch_sum_doubles(method="small")`` wraps."""
+    return fold_canonical(canonical_chunks(xs, params, chunk, backend))

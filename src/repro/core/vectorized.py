@@ -30,13 +30,15 @@ chunking, and thread/process partitioning (paper Sec. III.B.3).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.core import engines
 from repro.core.params import HPParams
-from repro.core.scalar import from_int_scaled, Words
+from repro.core.scalar import Words
 from repro.core.smallacc import check_finite_in_range
-from repro.errors import AdditionOverflowError, ConversionOverflowError
+from repro.errors import AdditionOverflowError
 from repro.observability.profile import phase as _phase
 
 __all__ = [
@@ -196,17 +198,9 @@ def _finalize_total(total: int, params: HPParams, check_overflow: bool = True) -
             raise AdditionOverflowError(
                 f"batch sum {total} outside {params} range"
             )
-        field = 1 << (64 * params.n)
-        wrapped = total % field
-        if wrapped >= field >> 1:
-            wrapped -= field
-        return _wrap(wrapped, params)
-
-
-def _wrap(value: int, params: HPParams) -> Words:
-    from repro.util.bits import signed_int_to_words
-
-    return signed_int_to_words(value, params.n)
+        n = params.n
+        field = (total & ((1 << (64 * n)) - 1)).to_bytes(8 * n, "big")
+        return struct.unpack(f">{n}Q", field)
 
 
 def words_scaled_total(
@@ -239,20 +233,9 @@ def batch_sum_doubles(
     figure-4/5-8 benchmarks drive for 16M-32M summands.
 
     ``method`` names an engine in the :mod:`repro.core.engines` registry
-    — all *exact* engines produce bit-identical words:
-
-    ``"small"`` (default)
-        Neal's small accumulator (:mod:`repro.core.smallacc`):
-        per-summand cost independent of ``N``, deferred in-place carries
-        and an optional compiled backend.
-    ``"words"``
-        The original word-matrix path (``batch_from_double`` +
-        column sums): ``O(n * N)`` work, kept as the reference engine.
-    ``"comp-pairwise"`` / ``"comp-kahan"`` / ``"comp-neumaier"``
-        Bounded-error compensated tiers (:mod:`repro.core.compensated`):
-        the float result is encoded exactly into HP words, but the value
-        itself carries the tier's a-priori error bound rather than
-        exactness.
+    (default ``"small"``).  All *exact* engines produce bit-identical
+    words; a compensated tier's float result is encoded exactly into
+    words, but the value carries the tier's a-priori error bound.
 
     ``accuracy`` overrides ``method`` with a planner decision
     (:func:`repro.core.planner.plan`): the cheapest registered engine

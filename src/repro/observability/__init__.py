@@ -63,7 +63,6 @@ from repro.observability.profile import (
 from repro.observability.journal import JOURNAL, EventJournal
 from repro.observability.recorder import RECORDER, FlightRecorder
 from repro.observability.report import RunReport, write_metrics, write_trace
-from repro.observability.server import MetricsServer, SnapshotRing, serve_metrics
 from repro.observability.schema import (
     validate_document,
     validate_file,
@@ -174,6 +173,16 @@ def disable() -> None:
     metrics.disable()
     tracing.disable()
     journal.disable()
+
+
+def __getattr__(name: str):
+    # The telemetry server is imported on first use: its http.server and
+    # ssl imports add ~3.5 MiB of RSS to every process that never serves.
+    if name in ("MetricsServer", "SnapshotRing", "serve_metrics"):
+        from repro.observability import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def is_enabled() -> bool:

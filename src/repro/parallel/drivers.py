@@ -19,19 +19,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.params import HPParams
 from repro.hallberg.params import HallbergParams
 from repro.observability import journal as _journal
 from repro.observability import metrics as _obs
 from repro.observability import monitor as _drift
 from repro.observability import tracing as _trace
-from repro.parallel.methods import (
-    DoubleMethod,
-    HallbergMethod,
-    HPMethod,
-    HPSmallaccMethod,
-    ReductionMethod,
-)
+from repro.parallel.methods import DoubleMethod, HallbergMethod, ReductionMethod
 from repro.parallel.phi import offload_reduce
 from repro.parallel.procpool import procpool_reduce
 from repro.parallel.schedule import Schedule, scheduled_partial
@@ -70,8 +65,6 @@ def make_method(
     resolve through the :mod:`repro.core.engines` registry, so a newly
     registered engine is reachable here without touching this function.
     """
-    from repro.core import engines
-
     if isinstance(method, ReductionMethod):
         return method
     if method == "double":
@@ -91,18 +84,6 @@ def make_method(
         return factory(params or HPParams(6, 3))
     known = "/".join((*engines.adapter_names(), "hallberg", "double"))
     raise ValueError(f"unknown method {method!r}; pick {known}")
-
-
-def _extract_words(method: ReductionMethod, partial: Any) -> tuple | None:
-    if isinstance(method, HPSmallaccMethod):
-        # Fold chunks to HP words so results compare bitwise against
-        # the word-carrying hp adapter.
-        return tuple(method.words(partial))
-    if isinstance(method, HPMethod):
-        return tuple(partial)
-    if isinstance(method, HallbergMethod):
-        return tuple(partial[0])
-    return None
 
 
 def global_sum(
@@ -127,42 +108,47 @@ def global_sum(
     data = np.ascontiguousarray(data, dtype=np.float64)
     adapter = make_method(method, params)
     name = adapter.name
-
-    # Every request runs under a trace context: a fresh one at the root,
-    # or the caller's when global_sum is nested (bench sweeps).  The
-    # context follows the request across process and rank boundaries
-    # (procpool envelopes, simmpi headers), so the journal and the trace
-    # tell one causal story per trace_id.
+    args = (data, adapter, substrate, pes, schedule, kwargs)
     ctx = _trace.current_context()
-    if ctx is None:
-        ctx = _trace.TraceContext.new()
-    start = time.perf_counter()
-    _journal.emit(
-        "request.start", trace_id=ctx.trace_id, span_id=ctx.span_id,
-        method=name, substrate=substrate, pes=pes, n=len(data),
-    )
-    with _trace.activate_context(ctx):
-        with _trace.span("global_sum", method=name, substrate=substrate,
-                         pes=pes, n=len(data), trace=ctx.trace_id) as sp:
-            if sp.span_id is not None:
-                ctx.span_id = sp.span_id
-            try:
-                value, partial, pes = _dispatch(
-                    data, adapter, substrate, pes, schedule, kwargs
-                )
-            except BaseException as exc:
-                _journal.emit(
-                    "request.finish", trace_id=ctx.trace_id,
-                    span_id=ctx.span_id, method=name, substrate=substrate,
-                    ok=False, error=f"{type(exc).__name__}: {exc}",
-                    duration_s=time.perf_counter() - start,
-                )
-                raise
-    _journal.emit(
-        "request.finish", trace_id=ctx.trace_id, span_id=ctx.span_id,
-        method=name, substrate=substrate, pes=pes, n=len(data),
-        ok=True, value=value, duration_s=time.perf_counter() - start,
-    )
+    if ctx is None and not (
+        _trace.ENABLED or _journal.ENABLED or _drift.MONITOR.armed
+    ):
+        # Nothing would record a context, span or event: make none.
+        value, words, pes = _dispatch(*args)
+    else:
+        # An observed request runs under a trace context: a fresh one at
+        # the root, or the caller's when global_sum is nested (bench
+        # sweeps).  The context follows the request across process and
+        # rank boundaries (procpool envelopes, simmpi headers), so the
+        # journal and the trace tell one causal story per trace_id.
+        if ctx is None:
+            ctx = _trace.TraceContext.new()
+        start = time.perf_counter()
+        _journal.emit(
+            "request.start", trace_id=ctx.trace_id, span_id=ctx.span_id,
+            method=name, substrate=substrate, pes=pes, n=len(data),
+        )
+        with _trace.activate_context(ctx):
+            with _trace.span("global_sum", method=name, substrate=substrate,
+                             pes=pes, n=len(data), trace=ctx.trace_id) as sp:
+                if sp.span_id is not None:
+                    ctx.span_id = sp.span_id
+                try:
+                    value, words, pes = _dispatch(*args)
+                except BaseException as exc:
+                    _journal.emit(
+                        "request.finish", trace_id=ctx.trace_id,
+                        span_id=ctx.span_id, method=name,
+                        substrate=substrate, ok=False,
+                        error=f"{type(exc).__name__}: {exc}",
+                        duration_s=time.perf_counter() - start,
+                    )
+                    raise
+        _journal.emit(
+            "request.finish", trace_id=ctx.trace_id, span_id=ctx.span_id,
+            method=name, substrate=substrate, pes=pes, n=len(data),
+            ok=True, value=value, duration_s=time.perf_counter() - start,
+        )
     if _obs.ENABLED:
         _obs.REGISTRY.counter(
             "global_sum.calls", method=name, substrate=substrate
@@ -177,10 +163,6 @@ def global_sum(
     if _drift.MONITOR.armed and substrate not in ("threads", "procs"):
         with _trace.activate_context(ctx):
             _drift.MONITOR.observe(data, value, adapter, substrate)
-
-    words = None
-    if partial is not None and adapter.is_exact():
-        words = _extract_words(adapter, partial)
     return GlobalSumResult(
         value=value, method=name, substrate=substrate, pes=pes, words=words
     )
@@ -194,23 +176,21 @@ def _dispatch(
     schedule: Schedule | None,
     kwargs: dict,
 ) -> tuple[float, Any, int]:
-    """Route to the substrate driver; returns (value, partial, pes)."""
+    """Route to the substrate driver; returns (value, words, pes)."""
     name = adapter.name
     if substrate == "serial":
-        partial = adapter.local_reduce(data)
-        value = adapter.finalize(partial)
-        pes = 1
-    elif substrate == "threads":
-        if schedule is not None:
-            # The scheduled combine already holds the exact words — no
-            # second full-array pass to recover them.
-            partial = scheduled_partial(data, adapter, pes, schedule)
-            value = adapter.finalize(partial)
-            if not adapter.is_exact():
-                partial = None
-        else:
-            r = thread_reduce(data, adapter, pes, **kwargs)
-            value, partial = r.value, r.partial
+        value, words = adapter.result(adapter.local_reduce(data))
+        return value, words, 1
+    if substrate == "threads" and schedule is not None:
+        # The scheduled combine already holds the exact words — no
+        # second full-array pass to recover them.
+        value, words = adapter.result(
+            scheduled_partial(data, adapter, pes, schedule)
+        )
+        return value, words, pes
+    if substrate == "threads":
+        r = thread_reduce(data, adapter, pes, **kwargs)
+        value, partial = r.value, r.partial
     elif substrate == "procs":
         r = procpool_reduce(data, adapter, pes, schedule=schedule, **kwargs)
         value, partial = r.value, r.partial
@@ -269,4 +249,5 @@ def _dispatch(
         raise ValueError(
             f"unknown substrate {substrate!r}; pick one of {SUBSTRATES}"
         )
-    return value, partial, pes
+    words = None if partial is None else adapter.result(partial)[1]
+    return value, words, pes

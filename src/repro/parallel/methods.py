@@ -18,11 +18,12 @@ from typing import Any, Generic, TypeVar
 import numpy as np
 
 from repro.core import compensated as _comp
+from repro.core import engines
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
 from repro.core.scalar import Words, add_words_checked, to_double
-from repro.core.smallacc import SmallAccumulator, bin_count, fold_bins
-from repro.core.vectorized import _finalize_total, batch_sum_doubles
+from repro.core.smallacc import bin_count, canonical_chunks, fold_bins
+from repro.core.vectorized import _DEFAULT_CHUNK, _finalize_total
 from repro.errors import SummandLimitError
 from repro.hallberg.accumulator import HallbergAccumulator
 from repro.hallberg.params import HallbergParams
@@ -72,6 +73,11 @@ class ReductionMethod(ABC, Generic[P]):
     def is_exact(self) -> bool:
         """True when combine order cannot affect the result."""
         return True
+
+    def result(self, partial: P) -> tuple[float, tuple | None]:
+        """``(value, words)`` of the final partial from one fold: the
+        double, and the exact bit pattern (``None`` when inexact)."""
+        return self.finalize(partial), None
 
 
 class DoubleMethod(ReductionMethod[float]):
@@ -179,17 +185,15 @@ class HPMethod(ReductionMethod[tuple]):
         self.params = params
         self.vectorized = vectorized
         self.engine = engine
+        self._total = engines.total_function(engine)
 
     def identity(self) -> tuple:
         return (0,) * self.params.n
 
     def local_reduce(self, xs: np.ndarray) -> tuple:
         if self.vectorized:
-            return batch_sum_doubles(
-                np.asarray(xs, dtype=np.float64),
-                self.params,
-                method=self.engine,
-            )
+            total = self._total(xs, self.params, _DEFAULT_CHUNK)
+            return _finalize_total(total, self.params)
         acc = HPAccumulator(self.params)
         for x in xs:
             acc.add(float(x))
@@ -200,6 +204,9 @@ class HPMethod(ReductionMethod[tuple]):
 
     def finalize(self, partial: tuple) -> float:
         return to_double(partial, self.params)
+
+    def result(self, partial: tuple) -> tuple[float, tuple]:
+        return self.finalize(partial), tuple(partial)
 
     def partial_nbytes(self) -> int:
         return 8 * self.params.n
@@ -214,7 +221,7 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
     ``2**(32*i)``.  Chunks merge by plain elementwise addition — exact,
     associative and carry-free — so any combine tree over any partition
     yields the same fold, and the fold is converted to HP words (and
-    range-checked) exactly once at :meth:`finalize`.  The chunk array
+    range-checked) exactly once, by :meth:`result`.  The chunk array
     *is* the whole local state, so partials are canonicalized (fully
     propagated) before shipping and merges stay idempotent-safe under
     re-delivery of an identity partial.  Words are bit-identical to
@@ -235,15 +242,12 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         return (0,) * self.nchunks
 
     def local_reduce(self, xs: np.ndarray) -> tuple:
-        engine = SmallAccumulator(
-            self.params, chunk=self.chunk, backend=self.backend
+        # Canonical chunks: every non-top chunk is a 32-bit window, so
+        # transported partials are backend-independent and compact on
+        # the wire.
+        return tuple(
+            canonical_chunks(xs, self.params, self.chunk, self.backend).tolist()
         )
-        engine.absorb(np.asarray(xs, dtype=np.float64))
-        # Canonicalize before shipping: every non-top chunk is a 32-bit
-        # window, so transported partials are backend-independent and
-        # compact on the wire.
-        engine.propagate()
-        return engine.chunks
 
     def combine(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
@@ -253,7 +257,11 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         return _finalize_total(fold_bins(partial), self.params, True)
 
     def finalize(self, partial: tuple) -> float:
-        return to_double(self.words(partial), self.params)
+        return self.result(partial)[0]
+
+    def result(self, partial: tuple) -> tuple[float, tuple]:
+        words = self.words(partial)
+        return to_double(words, self.params), words
 
     def partial_nbytes(self) -> int:
         # 16-byte signed wire slots (SmallaccChunksType): combined
@@ -299,6 +307,9 @@ class HallbergMethod(ReductionMethod[tuple]):
 
     def finalize(self, partial: tuple) -> float:
         return hb_to_double(partial[0], self.params)
+
+    def result(self, partial: tuple) -> tuple[float, tuple]:
+        return self.finalize(partial), tuple(partial[0])
 
     def partial_nbytes(self) -> int:
         return 8 * self.params.n + 8  # digits + summand count

@@ -19,6 +19,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +101,22 @@ class TestResolution:
     def test_resolution_is_cached(self, clean_env):
         assert native.resolve("auto") is native.resolve("auto")
 
+    def test_environment_is_read_once_per_reset(self, clean_env):
+        first = native.resolve("auto")
+        clean_env.setenv("REPRO_FORCE_PURE", "1")
+        assert native.resolve("auto") is first
+        native._reset_for_tests()
+        assert native.resolve("auto") is native.PURE
+        assert SmallAccumulator(P).backend == "pure"
+
 
 class TestKernelBitIdentity:
     def test_smallacc_scatter_matches_pure(self, rng, hp_params):
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
-        chunks = np.zeros(bin_count(hp_params), dtype=np.int64)
-        kern.smallacc_scatter(
+        chunks = kern.smallacc_chunks(
             np.ascontiguousarray(xs), hp_params.frac_bits,
-            hp_params.whole_bits, chunks,
+            hp_params.whole_bits, bin_count(hp_params),
         )
         pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
@@ -142,9 +150,8 @@ class TestKernelBitIdentity:
         kern = _compiled_or_skip()
         n = 3 * native.SMALL_PROPAGATE_LIMIT + 17
         xs = adversarial_pool(P, rng, n)
-        chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(
-            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, chunks
+        chunks = kern.smallacc_chunks(
+            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, bin_count(P)
         )
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
@@ -157,9 +164,8 @@ class TestKernelBitIdentity:
         kern = _compiled_or_skip()
         xs = np.array([5e-324, -5e-324, 2.0**-1022, 0.0, -0.0,
                        2.0**-1040, -(2.0**-1060)])
-        chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(
-            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, chunks
+        chunks = kern.smallacc_chunks(
+            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, bin_count(P)
         )
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
@@ -307,6 +313,36 @@ class TestLargeTableKernel:
         finally:
             REGISTRY.clear()
             TRACER.reset()
+
+    def test_concurrent_one_shot_totals(self, rng):
+        """Threads in the compiled one-shot total at once (the GIL is
+        released in the kernel, and switched often) each get serial's
+        words: every call scatters into a chunk array of its own."""
+        _compiled_or_skip()
+        workers = 4  # more than the reference machine's cores
+        xs = [rng.uniform(-1.0, 1.0, 1 << 16) * (i + 1) for i in range(workers)]
+        want = [global_sum(x, "hp", params=P).words for x in xs]
+        barrier = threading.Barrier(workers)
+        got = [[] for _ in range(workers)]
+
+        def run(i):
+            barrier.wait()
+            for _ in range(50):
+                got[i].append(global_sum(xs[i], "hp", params=P).words)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 50 for w in want]
 
     def test_threads_native_matches_serial(self, rng):
         # Two real threads run the kernel at once with the GIL released.
@@ -508,6 +544,25 @@ class TestCompiledCache:
         assert info["backend"] == "cext" and err == ""
         good = shared_object(built_cache)
         assert native._sha256(str(so)) == native._sha256(str(good))
+
+    def test_fallback_is_journaled(self, cache):
+        failing = ("from repro.core import native\n"
+                   "from repro.observability import journal\n"
+                   "journal.enable()\n"
+                   "native._known_answer = lambda kern: False\n"
+                   "import atexit, json, sys\n"
+                   "atexit.register(lambda: print(json.dumps(journal.JOURNAL"
+                   ".events('native.')), file=sys.stderr))\n")
+        info, err = run_probe(cache, failing)
+        assert info["backend"] == "pure"
+        # One stderr warning line and one journal event with the reason.
+        warning, events = err.strip().splitlines()
+        assert warning.startswith("warning:")
+        (event,) = json.loads(events)
+        assert event["event"] == "native.fallback"
+        assert event["backend"] == "pure"
+        assert event["reason"] == info["build_errors"]["cext"]
+        assert "known-answer" in event["reason"]
 
     def test_failing_known_answer_falls_back_to_pure(self, cache):
         failing = ("from repro.core import native\n"
