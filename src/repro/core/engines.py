@@ -261,10 +261,21 @@ def batch_words(
 # ---------------------------------------------------------------------------
 
 
-def _small_adapter(params, chunk=1 << 20):
-    from repro.parallel.methods import HPSmallaccMethod
+# repro.parallel.methods imports this module, so the adapter factories
+# import it on their first call and keep it.
+_methods = None
 
-    return HPSmallaccMethod(params, chunk=chunk)
+
+def _adapters():
+    global _methods
+    from repro.parallel import methods
+
+    _methods = methods
+    return methods
+
+
+def _small_adapter(params, chunk=1 << 20):
+    return (_methods or _adapters()).HPSmallaccMethod(params, chunk=chunk)
 
 
 def _words_total(xs, params, chunk):
@@ -278,9 +289,7 @@ def _words_total(xs, params, chunk):
 def _words_adapter(params, chunk=1 << 20):
     # Word partials and the Listing-2 combine; the local kernel is the
     # adapter's default exact engine.
-    from repro.parallel.methods import HPMethod
-
-    return HPMethod(params)
+    return (_methods or _adapters()).HPMethod(params)
 
 
 register(
@@ -334,9 +343,7 @@ def _comp_adapter(kernel: str):
     def make_adapter(params=None, chunk=1 << 20):
         # Compensated tiers carry no HP format; the params slot exists
         # for factory-signature uniformity with the exact adapters.
-        from repro.parallel.methods import CompensatedMethod
-
-        return CompensatedMethod(kernel, chunk=chunk)
+        return (_methods or _adapters()).CompensatedMethod(kernel, chunk=chunk)
 
     return make_adapter
 

@@ -1,74 +1,54 @@
 """Optional compiled backend for the accumulation inner loops.
 
-The exact engine (:mod:`repro.core.smallacc`) spends essentially all of
-its time in two tiny integer loops: scatter a mantissa's 32-bit limbs
-into exponent-indexed ``int64`` slots, and ripple deferred carries
-between slots.
-NumPy executes those loops through ``np.add.at`` — deterministic, but a
-dispatch-heavy scalar fallback inside NumPy.  This module compiles the
-same loops to machine code when the environment allows it, with Neal's
-large superaccumulator in front of the scatter and the input's
-validation folded into it, and with a two-step fallback chain:
+The exact engine (:mod:`repro.core.smallacc`) spends its time in the
+scatter of mantissas into ``int64`` chunks and the carries between
+them, which NumPy runs through a dispatch-heavy ``np.add.at``.  This
+module compiles those loops, with Neal's large superaccumulator in front
+and the input's validation folded in, behind a two-step chain:
 
 ``cext``
-    A small self-contained C translation unit (embedded in this file,
-    no build system needed) is compiled best-effort with the system C
-    compiler into a cached shared object and loaded through
-    :mod:`ctypes`.  The first build happens at first use; later
-    processes reuse the cached ``.so`` keyed by a hash of the source.
+    The C translation unit embedded below is compiled best-effort with
+    the system C compiler (``cc -O2 -shared -fPIC`` against the
+    interpreter's ``sysconfig`` include directory) into a CPython
+    extension module, cached as ``libreprokern-<digest>`` plus the
+    interpreter's ``EXT_SUFFIX`` and imported from that file.  The
+    digest covers the source and the ``EXT_SUFFIX``, so a shared cache
+    never serves a stale object or another interpreter's.  Each entry
+    point takes the array through the buffer protocol (1-D C-contiguous
+    float64, else ``TypeError``) and releases the GIL around its kernel.
 ``pure``
-    If that fails — or ``REPRO_FORCE_PURE=1`` is set — the engines keep
-    their pure-NumPy paths.  Nothing is lost but speed.
+    When that fails (no compiler, no ``Python.h``, a refused cache), or
+    ``REPRO_FORCE_PURE=1`` is set, the engines keep their NumPy paths.
 
-**Bit-identity contract.**  Both backends implement the *same* exact
-integer arithmetic: the scatter decomposition reproduces ``frexp``
-(including subnormal normalization) bit-for-bit, limb adds are plain
-two's-complement ``int64`` adds, and carry propagation uses arithmetic
-(floor) right shifts — exactly the NumPy semantics.  Backends are
-therefore interchangeable mid-computation; ``tests/core/test_native.py``
-and the engine gates in ``tests/core/test_smallacc.py`` pin
-compiled-vs-pure bit-identity.
+Both backends do the same exact integer arithmetic (``frexp``-exact
+decomposition, two's-complement adds, floor shifts), so their totals are
+equal; ``tests/core/test_native.py`` pins it.
 
-**An object that computes wrong words is never used.**  After loading,
-the kernel scatters fixed batches that reach every branch of the C
-source and must give pure's chunks; a mismatch rebuilds the object
-once, then falls back to pure like a failed build.
+**Nothing untrusted is loaded.**  The cache directory must belong to the
+current user and be writable by no one else (one this module creates is
+mode ``0o700``), and each build records the object's sha256, checked
+before loading, so a truncated or overwritten object is rebuilt rather
+than crashing the interpreter.  After loading, the kernel must give
+pure's totals on fixed batches that reach every branch of the C source;
+a wrong object is rebuilt once (and imported from a fresh path, since an
+extension module cannot be unloaded).  Any failure makes ``auto`` fall
+back to pure with one stderr warning, one ``native.fallback`` journal
+event and the reason in :func:`backend_info`'s ``build_errors``.
 
-**A cache that cannot be trusted is never loaded.**  The cache directory
-must belong to the current user and be writable by no one else; a
-directory this module creates is private (mode ``0o700``).  Each build
-records the ``.so``'s sha256 beside it, and the hash is checked before
-the object is loaded, so a truncated or overwritten object is rebuilt
-instead of crashing the interpreter.  When the directory is refused or
-the rebuild fails, ``auto`` falls back to pure with one stderr warning
-and the reason in :func:`backend_info`'s ``build_errors``.
-
-The selected backend is introspectable via :func:`backend_info` /
-``repro stats`` and published as the ``smallacc.backend`` gauge.
-
-Environment knobs
------------------
-``REPRO_FORCE_PURE=1``
-    Skip every compiled backend (CI uses this for the pure leg of the
-    backend matrix).
-``REPRO_NATIVE=auto|cext|pure``
-    Pin the resolution order's answer (``auto`` is the default chain).
-``REPRO_NATIVE_CACHE=DIR``
-    Directory for the compiled shared object (default: a subdirectory
-    of the system temp dir keyed by user id and source hash); the
-    object's file name is keyed by the source hash either way.
-
-Run ``python -m repro.core.native`` to force a build eagerly and print
-the resolved backend.
+Environment: ``REPRO_FORCE_PURE=1`` skips the compiled backend,
+``REPRO_NATIVE=auto|cext|pure`` pins the answer, ``REPRO_NATIVE_CACHE``
+names the cache (default: a private temp directory keyed by user id and
+digest).  ``python -m repro.core.native`` builds and prints the backend.
 """
 
 from __future__ import annotations
 
-import _ctypes
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -88,11 +68,9 @@ __all__ = [
     "resolve",
 ]
 
-#: Adds between in-loop carry propagations on the two-limb (Neal) path.
-#: Per add a chunk gains at most one addend of magnitude < 2**52, so
-#: after a post-propagation residue (< 2**33) plus 2046 adds every
-#: |chunk| < 2**33 + 2046 * 2**52 < 2**63 - 2**52: comfortably inside
-#: ``int64``.  2047 would shave the margin to under 2**33.
+#: Adds between in-loop carry propagations on the two-limb (Neal) path:
+#: |chunk| < 2**33 + 2046 * 2**52 < 2**63 - 2**52 (the bound is derived
+#: in :mod:`repro.core.smallacc`); 2047 would leave under 2**33 spare.
 SMALL_PROPAGATE_LIMIT = 2046
 
 
@@ -102,42 +80,28 @@ class NativeUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSet:
-    """The compiled inner loops, or ``None`` each for the pure backend.
+    """The compiled entry points, or ``None`` each for the pure backend.
 
-    Uniform Python-side signatures (arrays are contiguous, caller-owned):
-
-    * ``smallacc_chunks(xs, frac_bits, whole_bits, nchunks)`` — exact
-      scatter of every element of ``xs`` (float64) into a fresh,
-      canonical ``int64`` chunk array of ``nchunks`` (``bin_count``)
-      entries, in one kernel call.  It validates as it goes: ``None``
-      means some element is NaN, infinite or has ``|x| >=
-      2**whole_bits``.  The format also admits exactly
-      ``-2**whole_bits``; the caller that finds only that value retries
-      with ``whole_bits + 1``.  Neal's large superaccumulator runs in
-      front of the two-limb adds (see the C source); blocks with bits
-      below the format's resolution take the two-limb adds, which
-      propagate every :data:`SMALL_PROPAGATE_LIMIT` adds.  The fresh
-      array is a ctypes one, so only ``xs``'s address is looked up.
-    * ``propagate(chunks)`` — one full sequential carry sweep leaving
-      the canonical decomposition (non-negative 32-bit low windows,
-      signed top chunk).
-    * ``neumaier_partial(xs)`` — sequential Neumaier compensated sum
-      over ``xs`` (float64), returning ``(total, err, max_abs)`` for
-      :func:`repro.core.compensated.neumaier_partial`.  Unlike the
-      integer kernels above this one carries **no** bit-identity
-      contract against the pure path (the pure tier is lane-vectorized);
-      each backend is deterministic for a fixed order and meets the same
-      advertised error bound (:mod:`repro.core.bounds`).
-    """
+    Each takes ``xs`` as a 1-D C-contiguous float64 buffer (anything
+    else raises ``TypeError``) and releases the GIL around its kernel.
+    ``scatter_total(xs, frac_bits, whole_bits, nchunks)`` (not named
+    ``smallacc_total``, the registry-bound engine function it serves:
+    lint rule HP012) returns the exact scaled sum as an ``int``, from
+    one scatter into ``nchunks`` (``bin_count``) canonical chunks and
+    one ``int.from_bytes``; ``None`` means some element is NaN, inf or
+    has ``|x| >= 2**whole_bits`` (the format also admits exactly
+    ``-2**whole_bits``, so the caller retries with ``whole_bits + 1``).
+    ``neumaier_partial(xs)`` returns ``(total, err, max_abs)`` of a
+    sequential Neumaier sum, which shares the pure tier's error bound
+    (:mod:`repro.core.bounds`) but not its bits."""
 
     name: str
-    smallacc_chunks: Callable | None
-    propagate: Callable | None
-    neumaier_partial: Callable | None = None
+    scatter_total: Callable | None
+    neumaier_partial: Callable | None
 
     @property
     def compiled(self) -> bool:
-        return self.smallacc_chunks is not None
+        return self.scatter_total is not None
 
 
 #: The pure backend: engines use their own NumPy loops.
@@ -146,6 +110,11 @@ PURE = KernelSet("pure", None, None)
 _LOCK = threading.Lock()
 _RESOLVED: dict[str, KernelSet] = {}
 _BUILD_ERRORS: dict[str, str] = {}
+
+#: The extension's module name; the C source defines ``PyInit__reprokern``.
+_MODULE = "_reprokern"
+#: ``EXT_SUFFIX``, without loading the sysconfig data at every start.
+_EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 
 def force_pure() -> bool:
@@ -156,15 +125,15 @@ def force_pure() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# C extension backend: embedded source, built best-effort with ctypes
+# C extension backend: embedded source, built best-effort
 # ---------------------------------------------------------------------------
 
-# The translation unit is embedded so no packaging machinery is needed:
-# the cached .so is keyed by the source hash, so editing this string
-# transparently rebuilds.  ``>> 32`` on int64 relies on arithmetic
-# (floor) shift — the behavior of every compiler this repo targets and
-# the exact semantics of NumPy's int64 right shift.
+# Editing this string changes the digest, so it rebuilds.  ``>> 32`` on
+# int64 relies on arithmetic (floor) shift, as every targeted compiler
+# does and as NumPy's int64 right shift is defined.
 _C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -198,7 +167,7 @@ static int64_t repro_decompose(double x, int64_t *e) {
    its non-negative 32-bit window, the top chunk keeps the signed high
    part.  Because the carry rides along the sweep, a single pass lands
    on the canonical decomposition of the represented total. */
-void repro_smallacc_propagate(int64_t *chunks, int64_t nchunks) {
+static void repro_smallacc_propagate(int64_t *chunks, int64_t nchunks) {
     int64_t carry = 0, i, v;
     for (i = 0; i < nchunks - 1; i++) {
         v = chunks[i] + carry;
@@ -273,9 +242,9 @@ static void small_scatter(const double *xs, int64_t n, int64_t frac_bits,
    from truncating each summand, so a block holding a summand with bits
    below the format's resolution (tiny exponents, subnormals in narrow
    formats) is redone with the per-summand loop. */
-int repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
-                           int64_t whole_bits, int64_t *chunks,
-                           int64_t nchunks) {
+static int repro_smallacc_scatter(const double *xs, int64_t n,
+                                  int64_t frac_bits, int64_t whole_bits,
+                                  int64_t *chunks, int64_t nchunks) {
     /* Biased exponents >= limit are out of range (or NaN/infinite). */
     int64_t limit = whole_bits < 1024 ? 1023 + whole_bits : 2047;
     /* A key of biased exponent E (E >= 1; subnormals count as E = 1)
@@ -307,10 +276,7 @@ int repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
         /* The block's extreme exponents come from the table: an entry
            is nonzero iff its key was hit, since every hit adds at least
            2**52 and no entry wraps, and the block hit at least one key,
-           so both scans stop.  The scan costs about what a running max
-           and min per summand would, and unlike that wider per-summand
-           work it slows no more than the rest of the request on a core
-           shared with another busy thread. */
+           so both scans stop. */
         for (emax = 2047; !(acc[emax] | acc[NEG + emax]); emax--) {}
         if (emax >= limit) return 1;
         for (emin = 0; !(acc[emin] | acc[NEG + emin]); emin++) {}
@@ -368,12 +334,11 @@ int repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
     return 0;
 }
 
-/* Sequential Neumaier (1974) compensated sum with a running max|x_i|:
-   out[0] = running total, out[1] = pending compensation (to be *added*
-   at finalization), out[2] = max|x_i|.  The branch credits the rounding
-   error from whichever operand dominates in magnitude, so large-cancel
-   inputs keep their low bits in the compensation term. */
-void repro_neumaier_partial(const double *xs, int64_t n, double *out) {
+/* Sequential Neumaier (1974) sum: out = (total, compensation to add at
+   finalization, max|x_i|).  The branch credits the rounding error from
+   whichever operand dominates, so cancellation keeps its low bits. */
+static void repro_neumaier_partial(const double *xs, int64_t n,
+                                   double *out) {
     double total = 0.0, comp = 0.0, max_abs = 0.0;
     int64_t i;
     for (i = 0; i < n; i++) {
@@ -391,6 +356,113 @@ void repro_neumaier_partial(const double *xs, int64_t n, double *out) {
     out[0] = total;
     out[1] = comp;
     out[2] = max_abs;
+}
+
+/* ---- CPython entry points ------------------------------------------- */
+
+static PyObject *from_bytes, *little, *signed_kw;  /* int.from_bytes */
+
+/* Borrow obj's buffer as a 1-D C-contiguous float64 array, else raise
+   TypeError. */
+static int get_doubles(PyObject *obj, Py_buffer *view) {
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) return -1;
+    if (view->ndim == 1 && view->itemsize == 8 && view->format != NULL
+        && strcmp(view->format, "d") == 0 && PyBuffer_IsContiguous(view, 'C'))
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_SetString(PyExc_TypeError,
+                    "expected a 1-D C-contiguous float64 buffer");
+    return -1;
+}
+
+/* scatter_total(xs, frac_bits, whole_bits, nchunks) -> int | None.
+   Canonical chunks are the total's little-endian two's-complement bytes,
+   32-bit windows then the signed top chunk: one int.from_bytes folds
+   them. */
+static PyObject *py_scatter_total(PyObject *self, PyObject *const *args,
+                                   Py_ssize_t nargs) {
+    Py_buffer view;
+    long long frac, whole, n, top, i;
+    int64_t *chunks;
+    int rejected;
+    unsigned char *p;
+    PyObject *raw = NULL, *total, *call[3];
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError,
+                            "scatter_total takes 4 arguments (%zd given)",
+                            nargs);
+    frac = PyLong_AsLongLong(args[1]);
+    whole = PyLong_AsLongLong(args[2]);
+    n = PyLong_AsLongLong(args[3]);
+    if (PyErr_Occurred()) return NULL;
+    /* The scatter writes up to two chunks above the one holding the
+       highest in-range position, as its base + width. */
+    top = (whole < 1024 ? 1023 + whole : 2047) - 1076 + frac;
+    if (frac < 0 || whole < 0 || frac > (1LL << 30)
+        || n < (top > 0 ? top >> 5 : 0) + 3)
+        return PyErr_Format(PyExc_ValueError,
+                            "bad format bits or too few chunks");
+    if (get_doubles(args[0], &view) < 0) return NULL;
+    chunks = PyMem_Calloc((size_t)n, sizeof *chunks);
+    if (chunks == NULL) {
+        PyBuffer_Release(&view);
+        return PyErr_NoMemory();
+    }
+    Py_BEGIN_ALLOW_THREADS
+    rejected = repro_smallacc_scatter(view.buf, view.shape[0], frac, whole,
+                                      chunks, n);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&view);
+    if (!rejected) raw = PyBytes_FromStringAndSize(NULL, 4 * n + 4);
+    if (raw != NULL) {
+        p = (unsigned char *)PyBytes_AS_STRING(raw);
+        for (i = 0; i < 4 * (n - 1); i++)
+            *p++ = (unsigned char)((uint64_t)chunks[i / 4] >> 8 * (i % 4));
+        for (i = 0; i < 8; i++)
+            *p++ = (unsigned char)((uint64_t)chunks[n - 1] >> 8 * i);
+    }
+    PyMem_Free(chunks);
+    if (rejected) Py_RETURN_NONE;
+    if (raw == NULL) return NULL;
+    call[0] = raw;
+    call[1] = little;
+    call[2] = Py_True;
+    total = PyObject_Vectorcall(from_bytes, call, 2, signed_kw);
+    Py_DECREF(raw);
+    return total;
+}
+
+/* neumaier_partial(xs) -> (total, err, max_abs). */
+static PyObject *py_neumaier_partial(PyObject *self, PyObject *arg) {
+    Py_buffer view;
+    double out[3];
+    if (get_doubles(arg, &view) < 0) return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    repro_neumaier_partial(view.buf, view.shape[0], out);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&view);
+    return Py_BuildValue("(ddd)", out[0], out[1], out[2]);
+}
+
+static PyMethodDef kern_methods[] = {
+    {"scatter_total", (PyCFunction)(void (*)(void))py_scatter_total,
+     METH_FASTCALL, NULL},
+    {"neumaier_partial", py_neumaier_partial, METH_O, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kern_module = {
+    PyModuleDef_HEAD_INIT, "_reprokern", NULL, -1, kern_methods,
+};
+
+PyMODINIT_FUNC PyInit__reprokern(void) {
+    from_bytes = PyObject_GetAttrString((PyObject *)&PyLong_Type,
+                                        "from_bytes");
+    little = PyUnicode_InternFromString("little");
+    signed_kw = Py_BuildValue("(s)", "signed");
+    if (from_bytes == NULL || little == NULL || signed_kw == NULL)
+        return NULL;
+    return PyModule_Create(&kern_module);
 }
 """
 
@@ -436,13 +508,32 @@ def _hash_matches(so_path: str) -> bool:
         return False
 
 
-def _find_cc() -> str | None:
-    from shutil import which
+def _digest(tag: str = _EXT_SUFFIX) -> str:
+    """Cache key of the object built from :data:`_C_SOURCE` for the
+    interpreter whose ``EXT_SUFFIX`` is ``tag``."""
+    return hashlib.sha256(f"{_C_SOURCE}\0{tag}".encode()).hexdigest()
 
+
+def _find_cc() -> str | None:
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and which(cand):
+        if cand and shutil.which(cand):
             return cand
     return None
+
+
+def _compile_command(cc: str, out_path: str) -> list[str]:
+    """Build a C source on stdin into the extension ``out_path``; raises
+    :class:`NativeUnavailableError` without the interpreter's headers."""
+    import sysconfig  # only a build needs it
+
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise NativeUnavailableError(f"no Python.h in {include}")
+    cmd = [cc, "-O2", "-shared", "-fPIC", f"-I{include}", "-x", "c",
+           "-o", out_path, "-"]
+    if sys.platform == "darwin":
+        cmd[4:4] = ["-undefined", "dynamic_lookup"]
+    return cmd
 
 
 def _compile(so_path: str) -> None:
@@ -454,8 +545,7 @@ def _compile(so_path: str) -> None:
     # source file and produce the same bytes.
     tmp_path = so_path + f".tmp.{os.getpid()}"
     proc = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", "-x", "c", "-o", tmp_path, "-",
-         "-lm"],
+        _compile_command(cc, tmp_path),
         input=_C_SOURCE,
         capture_output=True,
         text=True,
@@ -474,58 +564,21 @@ def _compile(so_path: str) -> None:
     os.replace(tmp_path, so_path)
 
 
-def _load(so_path: str) -> tuple[ctypes.CDLL, KernelSet]:
-    """Load the shared object and wrap its kernels with ctypes."""
-    lib = ctypes.CDLL(so_path)
-    c_i64 = ctypes.c_longlong
-    c_ptr = ctypes.c_void_p
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    # The exact-engine kernels take raw buffer addresses (``.ctypes.data``
-    # of caller-owned contiguous arrays): converting through data_as()
-    # costs more than the whole scatter of a thousand-summand request.
-    lib.repro_smallacc_scatter.argtypes = [
-        c_ptr, c_i64, c_i64, c_i64, c_ptr, c_i64
-    ]
-    lib.repro_smallacc_scatter.restype = ctypes.c_int
-    lib.repro_smallacc_propagate.argtypes = [c_ptr, c_i64]
-    lib.repro_smallacc_propagate.restype = None
-    lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
-    lib.repro_neumaier_partial.restype = None
-    scatter = lib.repro_smallacc_scatter
-
-    def smallacc_chunks(xs, frac_bits: int, whole_bits: int, nchunks: int):
-        chunks = (c_i64 * nchunks)()
-        if scatter(xs.ctypes.data, xs.shape[0], frac_bits, whole_bits,
-                   chunks, nchunks):
-            return None
-        return np.frombuffer(chunks, dtype=np.int64)
-
-    def propagate(chunks) -> None:
-        lib.repro_smallacc_propagate(chunks.ctypes.data, chunks.shape[0])
-
-    def neumaier_partial(xs) -> tuple:
-        out = (ctypes.c_double * 3)()
-        lib.repro_neumaier_partial(
-            xs.ctypes.data_as(p_f64), xs.shape[0], out
-        )
-        return (out[0], out[1], out[2])
-
-    return lib, KernelSet("cext", smallacc_chunks, propagate,
-                          neumaier_partial)
+def _load(path: str) -> KernelSet:
+    """Import the extension module at ``path``, outside ``sys.modules``."""
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, path)
+    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
+    mod = importlib.util.module_from_spec(spec)
+    loader.exec_module(mod)
+    return KernelSet("cext", mod.scatter_total, mod.neumaier_partial)
 
 
 def _known_answer_cases():
-    """Fixed batches that reach every branch of the compiled scatter.
-
-    The first is 2,061 summands of HP(3,2) over 2**-70..2**63 of both
-    signs.  Its first block of 2,048 takes the table path and holds ±0,
-    ±(2**63 - ulp) and 1,024 copies of one all-ones mantissa, whose key
-    sum nears 2**63.  The last 13 summands hold sub-resolution values
-    and a subnormal, which trip the exactness trap.  The second batch
-    scales 201 of them into HP(19,18), whose resolution is below the
-    subnormal floor, so subnormals of both signs and an odd tail take
-    the table path there.
-    """
+    """Fixed batches that reach every branch of the compiled scatter:
+    2,061 summands of HP(3,2) whose first block takes the table path
+    with ±0, ±(2**63 - ulp) and a key sum near 2**63, and whose tail
+    trips the exactness trap; then 201 of them scaled into HP(19,18),
+    below whose resolution floor subnormals take the table path."""
     from repro.core.params import HPParams
 
     i = np.arange(2061)
@@ -540,13 +593,11 @@ def _known_answer_cases():
 
 
 def _known_answer(kern: KernelSet) -> bool:
-    """True when the compiled scatter gives the pure scatter's chunks on
+    """True when the compiled total equals the pure scatter's on
     :func:`_known_answer_cases` and rejects infinity.  A matching hash
     only proves the object is the one a build wrote, not that it
     computes right."""
-    from repro.core.smallacc import (
-        _scatter_chunk, bin_count, bins_from_int, fold_bins,
-    )
+    from repro.core.smallacc import _scatter_chunk, bin_count, fold_bins
 
     for xs, params in _known_answer_cases():
         nbins = bin_count(params)
@@ -555,38 +606,37 @@ def _known_answer(kern: KernelSet) -> bool:
         want = np.zeros(nbins, dtype=np.int64)
         _scatter_chunk(xs, params, want)
         frac, whole = params.frac_bits, params.whole_bits
-        got = kern.smallacc_chunks(xs, frac, whole, nbins)
-        if got is None or tuple(got.tolist()) != bins_from_int(
-            fold_bins(want), nbins
-        ):
+        if kern.scatter_total(xs, frac, whole, nbins) != fold_bins(want):
             return False
     ys = xs.copy()
     ys[-1] = math.inf
-    return kern.smallacc_chunks(ys, frac, whole, nbins) is None
+    return kern.scatter_total(ys, frac, whole, nbins) is None
 
 
 def _build_cext() -> KernelSet:
-    """Compile (or reuse) the shared object and load it, once it passes
-    its known-answer test."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()
+    """Compile (or reuse) the extension module and load it, once it
+    passes its known-answer test."""
+    digest = _digest()
     cache = _cache_dir(digest)
-    # The file name carries the source hash too, so a REPRO_NATIVE_CACHE
-    # directory shared across source versions never serves a stale
-    # object whose signatures no longer match the wrappers in _load.
-    so_path = os.path.join(cache, f"libreprokern-{digest[:16]}.so")
+    # The digest in the name keeps a shared REPRO_NATIVE_CACHE apart.
+    so_path = os.path.join(cache, f"libreprokern-{digest[:16]}{_EXT_SUFFIX}")
     _private_dir(cache)
     # A missing, truncated or overwritten object fails the recorded
     # hash and is rebuilt once; loading it could kill the interpreter.
     if not _hash_matches(so_path):
         _compile(so_path)
-    lib, kern = _load(so_path)
+    kern = _load(so_path)
     if _known_answer(kern):
         return kern
-    # A wrong object is rebuilt once; it must be unloaded first, or the
-    # loader hands back the cached handle for the same path.
-    _ctypes.dlclose(lib._handle)
+    # A wrong object is rebuilt once, and imported from a fresh copy:
+    # a loaded extension cannot be unloaded, and its path gives it back.
     _compile(so_path)
-    lib, kern = _load(so_path)
+    fresh = f"{so_path}.{os.getpid()}.reload"
+    shutil.copyfile(so_path, fresh)
+    try:
+        kern = _load(fresh)
+    finally:
+        os.unlink(fresh)
     if not _known_answer(kern):
         raise NativeUnavailableError(
             f"{so_path} fails its known-answer test after a rebuild"

@@ -50,6 +50,7 @@ __all__ = [
     "from_int_scaled",
     "to_double",
     "to_int_scaled",
+    "scaled_to_double",
     "add_words",
     "add_words_checked",
     "sub_words",
@@ -192,7 +193,12 @@ def to_double(words: Sequence[int], params: HPParams) -> float:
         raise MixedParameterError(
             f"word vector has {len(words)} words, {params} expects {params.n}"
         )
-    scaled = to_int_scaled(words)
+    return scaled_to_double(to_int_scaled(words), params)
+
+
+def scaled_to_double(scaled: int, params: HPParams) -> float:
+    """The double nearest the exact scaled integer ``scaled`` of
+    ``params`` (round half to even), as :func:`to_double` decodes it."""
     try:
         return scaled / params.scale
     except OverflowError as exc:

@@ -65,37 +65,25 @@ exact, associative, idempotent-friendly — the same contract the paper's
 Sec. III.B.3 order-invariance argument needs, and the per-PE reduction
 Goodrich & Eldawy (arXiv:1605.05436) frame parallel summation around.
 
-Large-table front end
----------------------
-The compiled scatter (:mod:`repro.core.native`) puts Neal's *large*
-superaccumulator (Sec. 4) in front of the chunks: every summand adds its
-integer mantissa into one of 4,096 ``uint64`` table entries keyed by
-sign and exponent, and every 2,048 summands (so no entry can wrap) the
-used keys are flushed into the chunks, three 32-bit windows each.
-Before each flush a scan of the table (an entry is nonzero exactly when
-its key was hit) finds the block's largest and smallest exponent, so
-nothing but the add happens per summand.  The largest
-rejects NaN, ±inf and out-of-range summands inside the kernel, before
-it writes its fresh chunk array, so the compiled path
-runs :func:`check_finite_in_range` only after a rejection, to raise the
-usual error.  The smallest is the *exactness trap*: a block with bits
-below ``2**-frac_bits`` would truncate its key sums differently from
-its summands, so it is redone with the two-limb adds above.
-
-Backend
--------
+Compiled backend
+----------------
 ``backend="auto"`` (default) uses :mod:`repro.core.native`'s resolution
-chain (C extension → pure NumPy) for the scatter/propagate inner
-loops; ``backend="pure"`` pins the NumPy path.  Both backends are
-bit-identical (pinned by ``tests/core/test_native.py`` and the engine
-gates in ``tests/core/test_smallacc.py``); the active choice is
-published as the ``smallacc.backend`` gauge and shown by ``repro
-stats``.
+chain (CPython extension module → pure NumPy); ``backend="pure"`` pins
+the NumPy path.  On the extension, :func:`smallacc_total` is one call from
+the array to the exact ``int``: Neal's *large* superaccumulator (Sec. 4)
+in front of the chunks, the input's validation folded into it (so
+:func:`check_finite_in_range` runs only after a rejection, to raise the
+usual error), the canonical sweep and the fold, with the GIL released.
+The ``hp-small`` adapter and :meth:`SmallAccumulator.absorb` take their
+chunks from that ``int`` (:func:`canonical_chunks`).  Both backends
+give the same totals (``tests/core/test_native.py``); the active one is
+the ``smallacc.backend`` gauge.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 import numpy as np
@@ -116,7 +104,6 @@ __all__ = [
     "canonical_chunks",
     "check_finite_in_range",
     "fold_bins",
-    "fold_canonical",
     "scatter_one",
     "smallacc_total",
 ]
@@ -158,37 +145,16 @@ def bin_count(params: HPParams) -> int:
 
 def fold_bins(bins) -> int:
     """Exact signed scaled-integer total of a chunk sequence."""
-    total = 0
-    for i, limb in enumerate(bins):
-        total += int(limb) << (BIN_BITS * i)
-    return total
-
-
-def fold_canonical(chunks: np.ndarray) -> int:
-    """:func:`fold_bins` of a canonical ``int64`` chunk array in one
-    conversion: the non-negative 32-bit windows below the top chunk are
-    the low bytes of the total, and the signed top chunk its high part."""
-    with _phase("smallacc.fold"):
-        low = chunks[:-1].astype("<u4").tobytes()
-        return int.from_bytes(low, "little") + (int(chunks[-1]) << (8 * len(low)))
+    return sum(int(limb) << (BIN_BITS * i) for i, limb in enumerate(bins))
 
 
 def bins_from_int(value: int, nbins: int) -> tuple[int, ...]:
-    """Canonical chunk decomposition of a signed scaled integer.
-
-    Chunks ``0..nbins-2`` hold unsigned 32-bit windows; the top chunk
-    keeps the remaining signed high part, so
-    ``fold_bins(bins_from_int(v, m)) == v`` for any ``v`` whose high
-    part fits the caller's headroom (always true for in-range totals).
-    This is the unique fixed point of :meth:`SmallAccumulator.propagate`.
-    """
-    limbs = []
-    rest = value
-    for _ in range(nbins - 1):
-        limbs.append(rest & MASK32)
-        rest >>= BIN_BITS
-    limbs.append(rest)
-    return tuple(limbs)
+    """Canonical chunk decomposition of a signed scaled integer: chunks
+    ``0..nbins-2`` hold unsigned 32-bit windows and the top chunk the
+    signed rest, so ``fold_bins(bins_from_int(v, m)) == v``."""
+    low_bits = BIN_BITS * (nbins - 1)
+    low = (value & ((1 << low_bits) - 1)).to_bytes(4 * (nbins - 1), "little")
+    return (*struct.unpack(f"<{nbins - 1}I", low), value >> low_bits)
 
 
 def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
@@ -220,16 +186,11 @@ def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
 
 def _scatter_chunk(xs: np.ndarray, params: HPParams, chunks: np.ndarray) -> None:
     """Pure-NumPy three-limb scatter of one pre-validated piece into the
-    ``int64`` chunk array.
-
-    The mantissa is split into 32-bit halves before the ``t mod 32``
-    shift, so each summand adds three addends below ``2**33``, one per
-    chunk.  The caller guarantees headroom (fewer than
-    :data:`PROPAGATE_LIMIT` units since the last propagation).  The
-    scatter uses ``numpy.add.at`` — unbuffered, sequential and
-    deterministic (rule HP004); integer adds commute, so the result is
-    invariant to summand order regardless.
-    """
+    ``int64`` chunk array: the mantissa is split into 32-bit halves
+    before the ``t mod 32`` shift, so each summand adds three addends
+    below ``2**33``.  The caller guarantees headroom (fewer than
+    :data:`PROPAGATE_LIMIT` units since the last propagation).
+    ``numpy.add.at`` is unbuffered and deterministic (rule HP004)."""
     mantissa_f, exponent = np.frexp(np.abs(xs))
     mant = (mantissa_f * float(1 << _MANT_BITS)).astype(np.uint64)
     shift = exponent.astype(np.int64) - _MANT_BITS + params.frac_bits
@@ -245,23 +206,19 @@ def _scatter_chunk(xs: np.ndarray, params: HPParams, chunks: np.ndarray) -> None
     hi_shifted = (mant >> _U32) << sub      # < 2**52
     sign = np.where(np.signbit(xs), np.int64(-1), np.int64(1))
     np.add.at(chunks, idx, (lo_shifted & _UMASK32).astype(np.int64) * sign)
-    np.add.at(
-        chunks,
-        idx + 1,
-        ((lo_shifted >> _U32) + (hi_shifted & _UMASK32)).astype(np.int64) * sign,
-    )
+    mid = ((lo_shifted >> _U32) + (hi_shifted & _UMASK32)).astype(np.int64)
+    np.add.at(chunks, idx + 1, mid * sign)
     np.add.at(chunks, idx + 2, (hi_shifted >> _U32).astype(np.int64) * sign)
 
 
 def scatter_one(x: float, params: HPParams, nchunks: int | None = None) -> tuple[int, ...]:
     """Chunk decomposition of a single double via Neal's two-add scheme.
 
-    This is the scalar oracle mirror of the engine: summing the returned
-    tuples elementwise over any set of values and canonicalizing yields
-    exactly the engine's :attr:`SmallAccumulator.chunks` after
-    :meth:`~SmallAccumulator.propagate` — the bit-identity anchor of
-    ``tests/core/test_smallacc.py``.  (Intermediate limb splits differ from
-    the vectorized three-limb scatter; the represented total is equal.)
+    The scalar oracle mirror of the engine: summing the returned tuples
+    elementwise and canonicalizing yields the engine's
+    :attr:`SmallAccumulator.chunks` after
+    :meth:`~SmallAccumulator.propagate` (the limb splits differ from the
+    three-limb scatter's; the total is equal).
     """
     if not math.isfinite(x):
         raise ConversionOverflowError(f"cannot convert {x!r} to chunks")
@@ -360,11 +317,11 @@ class SmallAccumulator:
             raise ValueError(f"expected 1-D input, got shape {xs.shape}")
         kern = self._kernel
         if kern.compiled:
-            # Fresh canonical chunks are one residue unit.
+            # Canonical chunks of the batch's total are one residue unit.
             fresh = canonical_chunks(xs, self.params, backend=kern.name)
             if self._pending + 1 > self.propagate_limit:
                 self._propagate("headroom")
-            self._chunks += fresh
+            self._chunks += np.array(fresh, dtype=np.int64)
             self._pending += 1
             self.count += int(xs.shape[0])
         else:
@@ -399,19 +356,14 @@ class SmallAccumulator:
             ).inc()
 
     def propagate(self) -> None:
-        """Full sequential carry sweep to the *canonical* decomposition
-        (the unique :func:`bins_from_int` form of the total): every
-        non-top chunk holds exactly its 32-bit window, the top chunk the
-        remaining signed high part.  Python-int arithmetic, so the
-        running carry can never wrap; cost is ``O(nchunks)``."""
+        """Rewrite the chunks in the *canonical* decomposition (the unique
+        :func:`bins_from_int` form of the total): every non-top chunk
+        holds exactly its 32-bit window, the top chunk the remaining
+        signed high part."""
         with _phase("smallacc.propagate"):
-            ch = self._chunks
-            carry = 0
-            for i in range(ch.shape[0] - 1):
-                v = int(ch[i]) + carry
-                ch[i] = v & MASK32
-                carry = v >> BIN_BITS
-            ch[-1] = int(ch[-1]) + carry
+            self._chunks[:] = bins_from_int(
+                fold_bins(self._chunks), self._chunks.shape[0]
+            )
             self._pending = 1
 
     def merge(self, other: "SmallAccumulator") -> None:
@@ -491,52 +443,46 @@ class SmallAccumulator:
         )
 
 
-def canonical_chunks(
-    xs: np.ndarray,
-    params: HPParams,
-    chunk: int = _DEFAULT_CHUNK,
-    backend: str = "auto",
-) -> np.ndarray:
-    """Canonical (:func:`bins_from_int` form) chunks of the exact sum of
-    the 1-D ``xs``, or :class:`ConversionOverflowError`.  Compiled: one
-    kernel call into a fresh array, no accumulator object.  Pure: a
-    :class:`SmallAccumulator` and its canonical sweep."""
-    kern = _native.resolve(backend)
-    if not kern.compiled:
-        engine = SmallAccumulator(params, chunk=chunk, backend="pure")
-        engine.absorb(xs)
-        engine.propagate()
-        return engine._chunks
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if xs.ndim != 1:
-        raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-    frac, whole, nchunks = params.frac_bits, params.whole_bits, bin_count(params)
-    with _phase("smallacc.scatter"):
-        chunks = kern.smallacc_chunks(xs, frac, whole, nchunks)
-    if chunks is None:
-        # The kernel bounds |x| below 2**whole_bits; the format also
-        # admits exactly -2**whole_bits, so a batch that passes the
-        # exact check holds that value and fits one bit wider.
-        with _phase("smallacc.validate"):
-            check_finite_in_range(xs, params)
-        with _phase("smallacc.scatter"):
-            chunks = kern.smallacc_chunks(xs, frac, whole + 1, nchunks)
-    if _obs.ENABLED:
-        reg = _obs.REGISTRY
-        reg.gauge("smallacc.backend", backend=kern.name).set(1)
-        reg.counter("smallacc.scatter_bytes", n=params.n, k=params.k).inc(
-            2 * 8 * int(xs.shape[0])
-        )
-    return chunks
-
-
 def smallacc_total(
     xs: np.ndarray,
     params: HPParams,
     chunk: int = _DEFAULT_CHUNK,
     backend: str = "auto",
 ) -> int:
-    """Exact signed scaled-integer sum of ``xs`` via the small engine,
-    from one :func:`canonical_chunks` and one fold: the total the ``hp``
-    adapter binds and ``batch_sum_doubles(method="small")`` wraps."""
-    return fold_canonical(canonical_chunks(xs, params, chunk, backend))
+    """Exact signed scaled-integer sum of the 1-D ``xs`` via the small
+    engine, or :class:`ConversionOverflowError`: the total the ``hp``
+    adapter binds and ``batch_sum_doubles(method="small")`` wraps.
+    Compiled: one entry-point call, no accumulator.  Pure: a
+    :class:`SmallAccumulator` and its fold."""
+    kern = _native.resolve(backend)
+    if not kern.compiled:
+        engine = SmallAccumulator(params, chunk=chunk, backend="pure")
+        engine.absorb(xs)
+        return engine.total()
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.ndim != 1:
+        raise ValueError(f"expected 1-D input, got shape {xs.shape}")
+    frac, whole, nchunks = params.frac_bits, params.whole_bits, bin_count(params)
+    with _phase("smallacc.scatter"):
+        total = kern.scatter_total(xs, frac, whole, nchunks)
+    if total is None:
+        # The kernel bounds |x| below 2**whole_bits; the format also
+        # admits exactly -2**whole_bits, so a batch that passes the
+        # exact check holds that value and fits one bit wider.
+        with _phase("smallacc.validate"):
+            check_finite_in_range(xs, params)
+        with _phase("smallacc.scatter"):
+            total = kern.scatter_total(xs, frac, whole + 1, nchunks)
+    if _obs.ENABLED:
+        reg = _obs.REGISTRY
+        reg.gauge("smallacc.backend", backend=kern.name).set(1)
+        reg.counter("smallacc.scatter_bytes", n=params.n, k=params.k).inc(
+            2 * 8 * int(xs.shape[0])
+        )
+    return total
+
+
+def canonical_chunks(xs, params, chunk=_DEFAULT_CHUNK, backend="auto"):
+    """:func:`bins_from_int` of :func:`smallacc_total`: the chunk partial
+    the ``hp-small`` adapter ships."""
+    return bins_from_int(smallacc_total(xs, params, chunk, backend), bin_count(params))

@@ -21,8 +21,9 @@ total.  Three layers:
   ``phase.*`` spans into self-time / cumulative / percent rows, with
   per-worker attribution: spans measured inside procpool workers arrive
   re-homed by :meth:`repro.observability.tracing.Tracer.record_imported`
-  under a span carrying a ``pid`` attribute, and the report walks each
-  phase span's ancestry to place it on that worker's row.
+  under a span carrying ``pid`` and ``pe`` attributes, and the report
+  walks each phase span's ancestry to place it on that worker's row,
+  one per PE even when one process ran several PEs' tasks.
 * **Sampling profiler** — :class:`SamplingProfiler` is a stdlib-only
   background thread over ``sys._current_frames()`` (NumPy kernels
   release the GIL, so the main thread's frames stay sampleable).  Its
@@ -229,12 +230,14 @@ def _nearest_phase_ancestor(sp: Span, by_id: dict[int, Span]) -> Span | None:
 
 def _worker_of(sp: Span, by_id: dict[int, Span]) -> str:
     """The worker a span ran on: the nearest ancestor (or the span
-    itself) carrying a ``pid`` attribute, else the master."""
+    itself) carrying a ``pid`` attribute, and its ``pe`` when it has
+    one (one process may run several PEs' tasks), else the master."""
     cur: Span | None = sp
     while cur is not None:
         pid = cur.attrs.get("pid")
         if isinstance(pid, int) and pid > 0:
-            return f"pid={pid}"
+            pe = cur.attrs.get("pe")
+            return f"pid={pid}" if pe is None else f"pid={pid} pe={pe}"
         cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
     return MASTER_WORKER
 

@@ -179,7 +179,7 @@ def _dispatch(
     """Route to the substrate driver; returns (value, words, pes)."""
     name = adapter.name
     if substrate == "serial":
-        value, words = adapter.result(adapter.local_reduce(data))
+        value, words = adapter.serial_result(data)
         return value, words, 1
     if substrate == "threads" and schedule is not None:
         # The scheduled combine already holds the exact words — no

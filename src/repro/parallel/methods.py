@@ -21,7 +21,7 @@ from repro.core import compensated as _comp
 from repro.core import engines
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
-from repro.core.scalar import Words, add_words_checked, to_double
+from repro.core.scalar import Words, add_words_checked, scaled_to_double, to_double
 from repro.core.smallacc import bin_count, canonical_chunks, fold_bins
 from repro.core.vectorized import _DEFAULT_CHUNK, _finalize_total
 from repro.errors import SummandLimitError
@@ -78,6 +78,10 @@ class ReductionMethod(ABC, Generic[P]):
         """``(value, words)`` of the final partial from one fold: the
         double, and the exact bit pattern (``None`` when inexact)."""
         return self.finalize(partial), None
+
+    def serial_result(self, xs: np.ndarray) -> tuple[float, tuple | None]:
+        """``(value, words)`` of one PE reducing all of ``xs``."""
+        return self.result(self.local_reduce(xs))
 
 
 class DoubleMethod(ReductionMethod[float]):
@@ -208,6 +212,16 @@ class HPMethod(ReductionMethod[tuple]):
     def result(self, partial: tuple) -> tuple[float, tuple]:
         return self.finalize(partial), tuple(partial)
 
+    def serial_result(self, xs: np.ndarray) -> tuple[float, tuple]:
+        # Value and words straight from the exact total, with the range
+        # check before the double-range check, as local_reduce then
+        # finalize raise them.  A subclass's finalize keeps its say.
+        if not self.vectorized or type(self).finalize is not HPMethod.finalize:
+            return self.result(self.local_reduce(xs))
+        total = self._total(xs, self.params, _DEFAULT_CHUNK)
+        words = _finalize_total(total, self.params)
+        return scaled_to_double(total, self.params), words
+
     def partial_nbytes(self) -> int:
         return 8 * self.params.n
 
@@ -245,9 +259,7 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         # Canonical chunks: every non-top chunk is a 32-bit window, so
         # transported partials are backend-independent and compact on
         # the wire.
-        return tuple(
-            canonical_chunks(xs, self.params, self.chunk, self.backend).tolist()
-        )
+        return canonical_chunks(xs, self.params, self.chunk, self.backend)
 
     def combine(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))

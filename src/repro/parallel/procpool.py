@@ -174,7 +174,7 @@ def _worker_run(task: tuple) -> tuple[Any, dict]:
     events, all drained so a persistent worker never reports the same
     measurement twice.
     """
-    method, lo, hi, path, ctx_data = task
+    method, lo, hi, path, ctx_data, pe = task
     ctx = _trace.TraceContext.from_dict(ctx_data)
     if ctx is not None and ctx.id_base:
         _trace.TRACER.seed(ctx.id_base)
@@ -184,7 +184,7 @@ def _worker_run(task: tuple) -> tuple[Any, dict]:
     try:
         start = time.perf_counter()
         attrs = {
-            "pid": os.getpid(), "lo": lo, "hi": hi, "n": hi - lo,
+            "pid": os.getpid(), "pe": pe, "lo": lo, "hi": hi, "n": hi - lo,
             "method": method.name, "source": "memmap" if path else "shm",
         }
         if ctx is not None:
@@ -462,11 +462,15 @@ class ProcPool:
                 # armed) records the dispatch as one fork/join so the
                 # master's combine is ordered after every worker result.
                 _race.task_created("procpool.map")
+                # Tasks are dealt to PEs round-robin, as a static
+                # schedule deals its chunks; any free worker process may
+                # run any of them, even all of one request's.
                 outcomes = pool.map(
                     _worker_run,
                     [
-                        (method, lo, hi, path, task_ctx)
-                        for (lo, hi), task_ctx in zip(ranges, task_ctxs)
+                        (method, lo, hi, path, task_ctx, i % self.pes)
+                        for i, ((lo, hi), task_ctx)
+                        in enumerate(zip(ranges, task_ctxs))
                     ],
                 )
                 _race.task_joined("procpool.map")

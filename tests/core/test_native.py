@@ -27,12 +27,7 @@ import pytest
 
 from repro.core import native, planner
 from repro.core.params import HPParams
-from repro.core.smallacc import (
-    SmallAccumulator,
-    bin_count,
-    bins_from_int,
-    fold_bins,
-)
+from repro.core.smallacc import SmallAccumulator, bin_count
 from repro.core.vectorized import batch_sum_doubles
 from repro.errors import ConversionOverflowError
 from repro.observability.metrics import REGISTRY
@@ -110,19 +105,26 @@ class TestResolution:
         assert SmallAccumulator(P).backend == "pure"
 
 
+def compiled_total(kern, xs, params):
+    return kern.scatter_total(
+        np.ascontiguousarray(xs), params.frac_bits, params.whole_bits,
+        bin_count(params),
+    )
+
+
+def pure_total(xs, params):
+    pure = SmallAccumulator(params, backend="pure")
+    pure.absorb(xs)
+    return pure.total()
+
+
 class TestKernelBitIdentity:
     def test_smallacc_scatter_matches_pure(self, rng, hp_params):
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
-        chunks = kern.smallacc_chunks(
-            np.ascontiguousarray(xs), hp_params.frac_bits,
-            hp_params.whole_bits, bin_count(hp_params),
-        )
-        pure = SmallAccumulator(hp_params, backend="pure")
-        pure.absorb(xs)
-        pure.propagate()
-        # The kernel returns the array canonical, so raw comparison holds.
-        assert tuple(int(v) for v in chunks) == pure.chunks
+        total = compiled_total(kern, xs, hp_params)
+        assert type(total) is int
+        assert total == pure_total(xs, hp_params)
 
     def test_engine_absorb_matches_pure(self, rng, hp_params):
         kern = _compiled_or_skip()
@@ -134,29 +136,13 @@ class TestKernelBitIdentity:
         pure.absorb(xs)
         assert compiled.to_words() == pure.to_words()
 
-    def test_propagate_matches_canonical(self, rng):
-        kern = _compiled_or_skip()
-        limbs = np.array(
-            [int(v) for v in rng.integers(-(2**40), 2**40, 8)],
-            dtype=np.int64,
-        )
-        value = fold_bins(limbs)
-        kern.propagate(limbs)
-        assert tuple(int(v) for v in limbs) == bins_from_int(value, 8)
-
     def test_internal_propagation_cadence(self, rng):
         """More elements than SMALL_PROPAGATE_LIMIT forces in-kernel
         carry propagation; exactness must survive the cadence."""
         kern = _compiled_or_skip()
         n = 3 * native.SMALL_PROPAGATE_LIMIT + 17
         xs = adversarial_pool(P, rng, n)
-        chunks = kern.smallacc_chunks(
-            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, bin_count(P)
-        )
-        pure = SmallAccumulator(P, backend="pure")
-        pure.absorb(xs)
-        pure.propagate()
-        assert tuple(int(v) for v in chunks) == pure.chunks
+        assert compiled_total(kern, xs, P) == pure_total(xs, P)
 
     def test_denormals_and_signed_zero(self):
         """Bit-inspection decompose must match frexp on the edge cases
@@ -164,13 +150,7 @@ class TestKernelBitIdentity:
         kern = _compiled_or_skip()
         xs = np.array([5e-324, -5e-324, 2.0**-1022, 0.0, -0.0,
                        2.0**-1040, -(2.0**-1060)])
-        chunks = kern.smallacc_chunks(
-            np.ascontiguousarray(xs), P.frac_bits, P.whole_bits, bin_count(P)
-        )
-        pure = SmallAccumulator(P, backend="pure")
-        pure.absorb(xs)
-        pure.propagate()
-        assert tuple(int(v) for v in chunks) == pure.chunks
+        assert compiled_total(kern, xs, P) == pure_total(xs, P)
 
     def test_cross_backend_merge(self, rng, hp_params):
         """Compiled and pure accumulators over different halves must
@@ -185,6 +165,41 @@ class TestKernelBitIdentity:
         whole = SmallAccumulator(hp_params, backend="pure")
         whole.absorb(xs)
         assert a.total() == whole.total()
+
+
+class TestEntryPoints:
+    """The extension's calling contract: a 1-D C-contiguous float64
+    buffer in, an exact ``int`` (or ``None``) out."""
+
+    @pytest.mark.parametrize("shape", ["2-D", "strided", "float32"])
+    def test_other_buffers_are_type_errors(self, shape):
+        kern = _compiled_or_skip()
+        xs = np.linspace(-1.0, 1.0, 64)
+        bad = {"2-D": xs.reshape(8, 8), "strided": xs[::2],
+               "float32": xs.astype(np.float32)}[shape]
+        with pytest.raises(TypeError):
+            kern.scatter_total(bad, P.frac_bits, P.whole_bits, bin_count(P))
+        with pytest.raises(TypeError):
+            kern.neumaier_partial(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**P.whole_bits])
+    def test_rejected_batch_returns_none(self, bad):
+        kern = _compiled_or_skip()
+        xs = np.linspace(-1.0, 1.0, 3000)
+        xs[2500] = bad
+        assert compiled_total(kern, xs, P) is None
+
+    def test_too_few_chunks_is_a_value_error(self):
+        kern = _compiled_or_skip()
+        with pytest.raises(ValueError):
+            kern.scatter_total(np.ones(4), P.frac_bits, P.whole_bits,
+                               bin_count(P) - 2)
+
+    def test_interpreter_tag_is_in_the_cache_digest(self):
+        a = native._digest(".cpython-311-x86_64-linux-gnu.so")
+        b = native._digest(".cpython-312-x86_64-linux-gnu.so")
+        assert a != b
+        assert native._digest() == native._digest(native._EXT_SUFFIX)
 
 
 def _absorb_both(xs, params, seed_xs=None):
@@ -434,6 +449,27 @@ def run_probe(cache: Path | None, prelude: str = "",
     return finish_probe(start_probe(cache, prelude, tmpdir))
 
 
+#: Probe prelude: journal on, and the ``native.*`` events as JSON on
+#: stderr at exit.
+JOURNAL_NATIVE_EVENTS = (
+    "from repro.observability import journal\n"
+    "journal.enable()\n"
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(journal.JOURNAL"
+    ".events('native.')), file=sys.stderr))\n"
+)
+
+#: Probe prelude: the paths the extension is loaded from, as JSON on
+#: stderr at exit.
+RECORD_LOADS = (
+    "import atexit, json, sys\n"
+    "from repro.core import native\n"
+    "loads, load = [], native._load\n"
+    "native._load = lambda path: loads.append(path) or load(path)\n"
+    "atexit.register(lambda: print(json.dumps(loads), file=sys.stderr))\n"
+)
+
+
 def shared_object(cache: Path) -> Path:
     (so,) = cache.glob("libreprokern-*.so")
     return so
@@ -527,7 +563,7 @@ class TestCompiledCache:
         assert info["backend"] == "cext"
 
     def test_wrong_object_with_its_hash_is_rebuilt(self, built_cache, cache):
-        # An object that loads and matches its recorded hash but scatters
+        # An object that loads and matches its recorded hash but sums
         # wrong: only the known-answer test can tell.
         so = shared_object(cache)
         wrong = native._C_SOURCE.replace(
@@ -535,24 +571,39 @@ class TestCompiledCache:
             "chunks[base + i] += local[i] + 1;",
         )
         assert wrong != native._C_SOURCE
-        subprocess.run(
-            [native._find_cc(), "-O2", "-shared", "-fPIC", "-x", "c", "-o",
-             str(so), "-"], input=wrong, text=True, check=True,
-        )
+        subprocess.run(native._compile_command(native._find_cc(), str(so)),
+                       input=wrong, text=True, check=True)
         Path(str(so) + ".sha256").write_text(native._sha256(str(so)) + "\n")
-        info, err = run_probe(cache)
-        assert info["backend"] == "cext" and err == ""
+        info, err = run_probe(cache, RECORD_LOADS)
+        assert info["backend"] == "cext"
         good = shared_object(built_cache)
         assert native._sha256(str(so)) == native._sha256(str(good))
+        # The rebuild was imported from a fresh path: an extension module
+        # cannot be unloaded, and its first path gives back the wrong one.
+        first, rebuilt = json.loads(err)
+        assert first == str(so) and rebuilt != first
+        assert not Path(rebuilt).exists()
+
+    def test_missing_headers_fall_back_to_pure(self, tmp_path):
+        no_headers = (
+            "import sysconfig\n"
+            "paths = sysconfig.get_paths\n"
+            "sysconfig.get_paths = lambda *a, **k: {**paths(*a, **k), "
+            f"'include': {str(tmp_path)!r}}}\n" + JOURNAL_NATIVE_EVENTS
+        )
+        info, err = run_probe(tmp_path / "cache", no_headers)
+        assert info["backend"] == "pure"
+        assert "Python.h" in info["build_errors"]["cext"]
+        warning, events = err.strip().splitlines()
+        assert warning.startswith("warning:")
+        (event,) = json.loads(events)
+        assert event["event"] == "native.fallback"
+        assert event["reason"] == info["build_errors"]["cext"]
 
     def test_fallback_is_journaled(self, cache):
         failing = ("from repro.core import native\n"
-                   "from repro.observability import journal\n"
-                   "journal.enable()\n"
                    "native._known_answer = lambda kern: False\n"
-                   "import atexit, json, sys\n"
-                   "atexit.register(lambda: print(json.dumps(journal.JOURNAL"
-                   ".events('native.')), file=sys.stderr))\n")
+                   + JOURNAL_NATIVE_EVENTS)
         info, err = run_probe(cache, failing)
         assert info["backend"] == "pure"
         # One stderr warning line and one journal event with the reason.

@@ -156,6 +156,22 @@ class TestProfileReport:
         totals = report.phase_totals()
         assert totals["procs.compute"] == pytest.approx(0.8)
 
+    def test_one_process_running_two_pes_gives_two_rows(self):
+        # A pool may hand both of a request's tasks to one worker
+        # process; each PE's phases still get their own row.
+        spans = [_span(RUN_SPAN, 1, duration=1.0)]
+        for pe in (0, 1):
+            spans += [
+                _span("procpool.worker", 2 + 2 * pe, parent_id=1,
+                      duration=0.4, pid=7, pe=pe),
+                _span(PHASE_PREFIX + "procs.compute", 3 + 2 * pe,
+                      parent_id=2 + 2 * pe, duration=0.3),
+            ]
+        report = ProfileReport.from_spans(spans)
+        assert sorted(r.worker for r in report.rows) == [
+            "pid=7 pe=0", "pid=7 pe=1"
+        ]
+
     def test_unfinished_spans_are_ignored(self):
         open_span = _span(PHASE_PREFIX + "x", 1, duration=0.0)
         open_span.duration_s = None

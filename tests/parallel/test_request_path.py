@@ -21,10 +21,10 @@ import pytest
 from repro.core import engines, native
 from repro.core.params import HPParams
 from repro.core.scalar import from_int_scaled, to_double
-from repro.errors import ConversionOverflowError
+from repro.errors import ConversionOverflowError, ReproError
 from repro.observability import journal, tracing
 from repro.observability.tracing import TRACER
-from repro.parallel.drivers import global_sum
+from repro.parallel.drivers import global_sum, make_method
 
 P = HPParams(8, 4)
 LIMIT = 2.0**P.whole_bits
@@ -113,6 +113,45 @@ def test_rejection_is_the_same_on_both_backends(monkeypatch, method, bad,
     assert len(set(messages.values())) == 1, messages
 
 
+@pytest.mark.parametrize("method", ["hp", "hp-small"])
+@pytest.mark.parametrize(
+    "substrate,pes,kwargs", SUBSTRATES,
+    ids=["serial", "threads-simulated", "threads-native", "procs"],
+)
+def test_rejection_is_the_same_on_every_substrate(monkeypatch, method,
+                                                  substrate, pes, kwargs):
+    xs = inputs(4096)
+    xs[3000] = np.inf
+    errors = set()
+    for force in (None, "1"):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        if force is None:
+            monkeypatch.delenv("REPRO_FORCE_PURE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FORCE_PURE", force)
+        native._reset_for_tests()
+        with pytest.raises(ReproError) as info:
+            global_sum(xs, method, substrate, pes=pes, params=P, **kwargs)
+        errors.add((type(info.value), str(info.value)))
+    native._reset_for_tests()
+    assert len(errors) == 1, errors
+
+
+@pytest.mark.parametrize("params,xs", [
+    (HPParams(2, 1), np.full(4, 2.0**62)),            # beyond HP(2,1)
+    (HPParams(18, 1), np.array([1.7e308, 1.7e308])),  # beyond double
+], ids=["addition-overflow", "normalization-overflow"])
+def test_serial_errors_are_the_word_paths(backend, params, xs):
+    """The serial ``hp`` request takes its value and words from the
+    exact total; it raises what ``local_reduce`` then ``result`` do."""
+    adapter = make_method("hp", params)
+    with pytest.raises(ReproError) as old:
+        adapter.result(adapter.local_reduce(xs))
+    with pytest.raises(type(old.value)) as new:
+        global_sum(xs, "hp", params=params)
+    assert str(new.value) == str(old.value)
+
+
 def _python_calls(fn) -> int:
     """Python-level function calls made by one ``fn()``."""
     calls = Counter()
@@ -131,12 +170,13 @@ def _python_calls(fn) -> int:
 
 class TestGlue:
     #: Python-level calls in one serial ``hp`` request of 1,024 summands
-    #: with observability off, per backend, plus a margin of three.  When
-    #: this gate was set a request made 39 on the compiled backend (the
-    #: driver, the adapter, the bound kernel, one fold, the words,
-    #: ``to_double``; 101 before the path was flattened) and 55 on pure.
+    #: with observability off, per backend, plus a margin of three.  A
+    #: request makes 25 on the compiled backend (the driver, the adapter,
+    #: one entry-point call that returns the exact ``int``, the words and
+    #: the value from that ``int``; 39 through ctypes, 101 before the
+    #: path was flattened) and 45 on pure (55 when the bound was set).
     #: A layer added back to the dispatch chain fails it.
-    MAX_CALLS = {"cext": 42, "pure": 58}
+    MAX_CALLS = {"cext": 28, "pure": 58}
 
     def test_serial_hp_request_call_count(self):
         assert not (tracing.ENABLED or journal.ENABLED)
