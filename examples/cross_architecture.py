@@ -48,13 +48,8 @@ def main() -> None:
     g = gpu_sum(data, "hp", num_threads=512, params=PARAMS,
                 max_concurrent_threads=256)
     gd = gpu_sum(data, "double", num_threads=512, max_concurrent_threads=256)
-    # Fold the device's 256 partials into one word vector for comparison.
-    from repro.core.scalar import add_words
-
-    total = (0,) * PARAMS.n
-    for part in g.partials:
-        total = add_words(total, part)
-    results["CUDA device (atomics)"] = (total, gd.value)
+    # g.total: the device's 256 partials folded into one word vector.
+    results["CUDA device (atomics)"] = (g.total, gd.value)
 
     r = offload_reduce(data, hp, num_threads=240)
     results["Xeon Phi (offload)"] = (

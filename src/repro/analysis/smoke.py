@@ -87,7 +87,6 @@ def run_smoke(
         # Stage 3: simulated-MPI binomial reduce, watched for quiescence.
         from repro.parallel.drivers import make_method
         from repro.parallel.simmpi.comm import SimComm
-        from repro.parallel.simmpi.datatypes import datatype_for_method
         from repro.parallel.simmpi.reduce import mpi_reduce_partials
         from repro.parallel.partition import block_ranges
 
@@ -98,9 +97,7 @@ def run_smoke(
             method.local_reduce(data[lo:hi])
             for lo, hi in block_ranges(len(data), pes)
         ]
-        total = mpi_reduce_partials(
-            comm, partials, method, datatype_for_method(method)
-        )
+        total = mpi_reduce_partials(comm, partials, method)
         mpi_value = method.finalize(total)
         report["simmpi"] = {
             "value": mpi_value,

@@ -6,8 +6,9 @@ ladder over engine names — ``batch_sum_doubles`` on ``method=``,
 adapter names — and adding an engine meant touching every ladder.  This
 registry is the single source of truth the ROADMAP's engine-unification
 item calls for: a name maps to the engine's batch kernel, its parallel
-:class:`~repro.parallel.methods.ReductionMethod` adapter, and a
-capability set the CLI and benches can introspect.
+:class:`~repro.parallel.methods.ReductionMethod` adapter (the partial's
+whole algebra and wire codec: the paper's custom MPI datatype plus
+``MPI_Op``), and a capability set the CLI and benches can introspect.
 
 Specs resolve their implementations through *lazy* callables (imports
 happen inside the spec functions), so this module can sit at the bottom

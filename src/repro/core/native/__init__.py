@@ -725,10 +725,3 @@ def _reset_for_tests() -> None:
         _RESOLVED.clear()
         _BUILD_ERRORS.clear()
 
-
-if __name__ == "__main__":  # pragma: no cover - utility entry point
-    info = backend_info()
-    print(f"repro native backend: {info['backend']}")
-    for name, err in info["build_errors"].items():
-        print(f"  {name}: {err}", file=sys.stderr)
-    sys.exit(0 if info["compiled"] or info["force_pure"] else 1)

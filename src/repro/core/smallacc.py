@@ -74,8 +74,9 @@ the array to the exact ``int``: Neal's *large* superaccumulator (Sec. 4)
 in front of the chunks, the input's validation folded into it (so
 :func:`check_finite_in_range` runs only after a rejection, to raise the
 usual error), the canonical sweep and the fold, with the GIL released.
-The ``hp-small`` adapter and :meth:`SmallAccumulator.absorb` take their
-chunks from that ``int`` (:func:`canonical_chunks`).  Both backends
+The ``hp-small`` adapter keeps that ``int`` as its partial, and
+:meth:`SmallAccumulator.absorb` takes its chunks from it
+(:func:`bins_from_int`).  Both backends
 give the same totals (``tests/core/test_native.py``); the active one is
 the ``smallacc.backend`` gauge.
 """
@@ -101,7 +102,6 @@ __all__ = [
     "SmallAccumulator",
     "bin_count",
     "bins_from_int",
-    "canonical_chunks",
     "check_finite_in_range",
     "fold_bins",
     "scatter_one",
@@ -318,7 +318,10 @@ class SmallAccumulator:
         kern = self._kernel
         if kern.compiled:
             # Canonical chunks of the batch's total are one residue unit.
-            fresh = canonical_chunks(xs, self.params, backend=kern.name)
+            fresh = bins_from_int(
+                smallacc_total(xs, self.params, backend=kern.name),
+                self._chunks.shape[0],
+            )
             if self._pending + 1 > self.propagate_limit:
                 self._propagate("headroom")
             self._chunks += np.array(fresh, dtype=np.int64)
@@ -481,8 +484,3 @@ def smallacc_total(
         )
     return total
 
-
-def canonical_chunks(xs, params, chunk=_DEFAULT_CHUNK, backend="auto"):
-    """:func:`bins_from_int` of :func:`smallacc_total`: the chunk partial
-    the ``hp-small`` adapter ships."""
-    return bins_from_int(smallacc_total(xs, params, chunk, backend), bin_count(params))

@@ -126,21 +126,15 @@ def run_invariance_matrix(
     small = data[: min(n, 512)]
     small_ref = batch_sum_doubles(small, params)
 
-    def fold(partials):
-        total = (0,) * params.n
-        for part in partials:
-            total = add_words(total, part)
-        return total
-
     g = gpu_sum(small, "hp", num_threads=64, params=params,
                 max_concurrent_threads=16, num_partials=8)
     out.words["gpu atomic kernel (small slice)"] = _lift(
-        fold(g.partials), small_ref, out, data, params
+        g.total, small_ref, out, data, params
     )
     g = gpu_sum(small, "hp", num_threads=64, params=params,
                 max_concurrent_threads=16, num_partials=8, schedule_seed=3)
     out.words["gpu atomic adversarial (small slice)"] = _lift(
-        fold(g.partials), small_ref, out, data, params
+        g.total, small_ref, out, data, params
     )
     b = gpu_block_sum(small, "hp", num_blocks=4, block_size=8, params=params)
     out.words["gpu block tree (small slice)"] = _lift(

@@ -8,7 +8,7 @@ Each substrate runs the same global-summation skeleton (local reductions
   process pool with out-of-core streaming; the repo's real wall-clock
   strong-scaling substrate)
 * :mod:`repro.parallel.simmpi` — MPI analog (binomial reduce over byte
-  channels with custom datatypes, Fig. 6)
+  channels; each method adapter packs its own partials, Fig. 6)
 * :mod:`repro.parallel.gpu` — CUDA analog (atomic 256-partial kernel on
   a simulated device, Fig. 7)
 * :mod:`repro.parallel.phi` — Xeon Phi analog (offload model, Fig. 8)

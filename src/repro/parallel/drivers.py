@@ -65,8 +65,8 @@ def make_method(
     resolve through the :mod:`repro.core.engines` registry, so a newly
     registered engine is reachable here without touching this function.
     """
-    if isinstance(method, ReductionMethod):
-        return method
+    if not isinstance(method, str):
+        return method  # already an adapter
     if method == "double":
         return DoubleMethod()
     if method == "hallberg":
@@ -200,16 +200,16 @@ def _dispatch(
     elif substrate == "mpi-scatter":
         value, partial, _comm = distributed_sum(data, adapter, pes, **kwargs)
     elif substrate == "gpu":
-        from repro.core.scalar import add_words
         from repro.parallel.gpu import gpu_sum
 
         if name == "double":
             g = gpu_sum(data, "double", num_threads=pes, **kwargs)
-            value, partial = g.value, None
+            value, partial = g.value, g.total
         elif name == "hp-small":
             # Chunk partials need the block-structured kernel: chunks
             # are signed lanes merged by carry-free atomic adds, which
             # the 256-partial atomic kernel's word layout does not model.
+            from repro.core.smallacc import fold_bins
             from repro.parallel.gpu.block_reduce import gpu_block_sum
 
             block_size = 1
@@ -220,7 +220,7 @@ def _dispatch(
                 data, "hp-small", num_blocks=num_blocks,
                 block_size=block_size, params=adapter.params, **kwargs,
             )
-            value, partial = g.value, tuple(g.global_words)
+            value, partial = g.value, fold_bins(g.global_words)
             pes = num_blocks * block_size
         elif name.startswith("comp-"):
             raise ValueError(
@@ -230,18 +230,7 @@ def _dispatch(
         else:
             g = gpu_sum(data, name, num_threads=pes,
                         params=adapter.params, **kwargs)
-            value = g.value
-            if name == "hp":
-                total = (0,) * adapter.params.n
-                for part in g.partials:
-                    total = add_words(total, part)
-                partial = total
-            else:
-                digits = [0] * adapter.params.n
-                for part in g.partials:
-                    for i, d in enumerate(part):
-                        digits[i] += d
-                partial = (tuple(digits), len(data))
+            value, partial = g.value, g.total
     elif substrate == "phi":
         r = offload_reduce(data, adapter, pes, **kwargs)
         value, partial = r.value, r.partial

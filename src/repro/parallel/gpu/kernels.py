@@ -189,6 +189,9 @@ class GPUSumResult:
 
     value: float
     partials: list
+    #: the partials folded in slot order, in the method's partial shape
+    #: (a double, HP words, or Hallberg ``(digits, n)``)
+    total: object
     run: KernelRun
     num_threads: int
     method_name: str
@@ -266,6 +269,7 @@ def gpu_sum(
         value = 0.0
         for p in partials:
             value += p
+        total = value
     elif method_name == "hp":
         partials = [
             tuple(raw[s * params.n : (s + 1) * params.n])
@@ -286,15 +290,17 @@ def gpu_sum(
             )
             for s in range(num_partials)
         ]
-        total = [0] * params.n
+        digits = [0] * params.n
         for p in partials:
             for i, d in enumerate(p):
-                total[i] += d
-        value = hb_to_double(total, params)
+                digits[i] += d
+        total = (tuple(digits), n)
+        value = hb_to_double(digits, params)
 
     return GPUSumResult(
         value=value,
         partials=partials,
+        total=total,
         run=run,
         num_threads=num_threads,
         method_name=method_name,

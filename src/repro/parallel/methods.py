@@ -2,16 +2,22 @@
 
 Every Sec. IV.B benchmark runs the same reduction skeleton with three
 interchangeable methods — double precision, HP, and Hallberg.  A
-:class:`ReductionMethod` packages the three operations the skeleton
-needs: a *local* reduce over one PE's slice, an associative *combine* of
-two partials, and a *finalize* back to double.  HP and Hallberg combines
-are exact integer operations, so any combine tree gives bit-identical
-partials; the double combine is ordinary FP addition, order-sensitive by
-nature — which is precisely the contrast the experiments measure.
+:class:`ReductionMethod` is the whole algebra of one partial type: the
+*identity*, a *local* reduce over one PE's slice, an associative
+*combine* of two partials, a *finalize* back to double, and the wire
+codec (:meth:`~ReductionMethod.pack` / :meth:`~ReductionMethod.unpack`,
+``partial_nbytes()`` bytes).  Together these are the paper's "custom MPI
+data type and MPI_Op" (Sec. IV.B): the simulated MPI substrate moves
+only the packed bytes.  HP and Hallberg combines are exact integer
+operations, so any combine tree gives bit-identical partials; the double
+combine is ordinary FP addition, order-sensitive by nature — which is
+precisely the contrast the experiments measure.  Every codec is
+little-endian and architecture-independent.
 """
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from typing import Any, Generic, TypeVar
 
@@ -22,7 +28,7 @@ from repro.core import engines
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
 from repro.core.scalar import Words, add_words_checked, scaled_to_double, to_double
-from repro.core.smallacc import bin_count, canonical_chunks, fold_bins
+from repro.core.smallacc import bin_count, bins_from_int, fold_bins
 from repro.core.vectorized import _DEFAULT_CHUNK, _finalize_total
 from repro.errors import SummandLimitError
 from repro.hallberg.accumulator import HallbergAccumulator
@@ -69,6 +75,23 @@ class ReductionMethod(ABC, Generic[P]):
     @abstractmethod
     def partial_nbytes(self) -> int:
         """Wire size of one partial — the MPI message payload."""
+
+    @abstractmethod
+    def pack(self, partial: P) -> bytes:
+        """The partial's ``partial_nbytes()``-byte wire form."""
+
+    @abstractmethod
+    def unpack(self, buf: bytes) -> P:
+        """Inverse of :meth:`pack`; ``ValueError`` on any other length."""
+
+    def _sized(self, buf: bytes) -> bytes:
+        """``buf`` when it is exactly one partial long."""
+        if len(buf) != self.partial_nbytes():
+            raise ValueError(
+                f"a {self.name} partial is {self.partial_nbytes()} bytes, "
+                f"got {len(buf)}"
+            )
+        return buf
 
     def is_exact(self) -> bool:
         """True when combine order cannot affect the result."""
@@ -117,6 +140,12 @@ class DoubleMethod(ReductionMethod[float]):
     def partial_nbytes(self) -> int:
         return 8
 
+    def pack(self, partial: float) -> bytes:
+        return struct.pack("<d", partial)  # MPI_DOUBLE
+
+    def unpack(self, buf: bytes) -> float:
+        return struct.unpack("<d", self._sized(buf))[0]
+
     def is_exact(self) -> bool:
         return False
 
@@ -126,7 +155,7 @@ class CompensatedMethod(ReductionMethod[tuple]):
 
     Partials are :class:`repro.core.compensated.CompPartial` tuples —
     ``(total, err, count, max_abs)`` — which pickle through the procs
-    pool and pack through the simmpi wire codec like any other partial.
+    pool and pack to 32 bytes (``<ddQd``) like any other partial.
     Merging keeps the totals' exact rounding error (``two_sum``), so a
     reduction tree adds nothing beyond the per-slice kernel error and
     the whole reduction stays inside the tier's a-priori bound
@@ -165,6 +194,12 @@ class CompensatedMethod(ReductionMethod[tuple]):
     def partial_nbytes(self) -> int:
         # total f64 + err f64 + count u64 + max_abs f64 on the wire.
         return 32
+
+    def pack(self, partial: tuple) -> bytes:
+        return struct.pack("<ddQd", *partial)
+
+    def unpack(self, buf: bytes) -> tuple:
+        return _comp.CompPartial(*struct.unpack("<ddQd", self._sized(buf)))
 
     def is_exact(self) -> bool:
         return False
@@ -225,60 +260,77 @@ class HPMethod(ReductionMethod[tuple]):
     def partial_nbytes(self) -> int:
         return 8 * self.params.n
 
+    # N unsigned 64-bit words: plain integers, so the same bytes decode
+    # to the same value on any rank (architecture invariance).
+    def pack(self, partial: tuple) -> bytes:
+        return struct.pack(f"<{self.params.n}Q", *partial)
 
-class HPSmallaccMethod(ReductionMethod[tuple]):
+    def unpack(self, buf: bytes) -> tuple:
+        return struct.unpack(f"<{self.params.n}Q", self._sized(buf))
+
+
+class HPSmallaccMethod(ReductionMethod[int]):
     """The HP method with Neal small-accumulator partials.
 
     Where :class:`HPMethod` ships ``N``-word vectors between PEs, this
-    adapter keeps partials in chunk form (:mod:`repro.core.smallacc`): a
-    tuple of signed integer chunks with chunk ``i`` weighted
-    ``2**(32*i)``.  Chunks merge by plain elementwise addition — exact,
-    associative and carry-free — so any combine tree over any partition
-    yields the same fold, and the fold is converted to HP words (and
-    range-checked) exactly once, by :meth:`result`.  The chunk array
-    *is* the whole local state, so partials are canonicalized (fully
-    propagated) before shipping and merges stay idempotent-safe under
-    re-delivery of an identity partial.  Words are bit-identical to
-    :class:`HPMethod` over the same data.
+    adapter's partial is the exact signed scaled integer of its slice,
+    the ``small`` engine's total.  Neal's chunks merge by carry-free
+    addition (:mod:`repro.core.smallacc`), which is integer addition, so
+    the combine is ``a + b``: exact and associative, and any combine
+    tree over any partition gives the same total.  The total is
+    range-checked and wrapped into HP words exactly once, by
+    :meth:`result`; words are bit-identical to :class:`HPMethod` over
+    the same data.
+
+    On the wire the integer travels in chunk form: ``bin_count(params)``
+    16-byte signed little-endian slots, slot ``i`` weighted
+    ``2**(32*i)``, written canonical (:func:`bins_from_int`);
+    :meth:`unpack` folds whatever the slots hold.
     """
 
     name = "hp-small"
 
-    def __init__(
-        self, params: HPParams, chunk: int = 1 << 20, backend: str = "auto"
-    ) -> None:
+    def __init__(self, params: HPParams, chunk: int = 1 << 20) -> None:
         self.params = params
         self.chunk = chunk
-        self.backend = backend
         self.nchunks = bin_count(params)
+        self._total = engines.total_function("small")
 
-    def identity(self) -> tuple:
-        return (0,) * self.nchunks
+    def identity(self) -> int:
+        return 0
 
-    def local_reduce(self, xs: np.ndarray) -> tuple:
-        # Canonical chunks: every non-top chunk is a 32-bit window, so
-        # transported partials are backend-independent and compact on
-        # the wire.
-        return canonical_chunks(xs, self.params, self.chunk, self.backend)
+    def local_reduce(self, xs: np.ndarray) -> int:
+        return self._total(xs, self.params, self.chunk)
 
-    def combine(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+    def combine(self, a: int, b: int) -> int:
+        return a + b
 
-    def words(self, partial: tuple) -> Words:
-        """Fold a chunk partial into range-checked HP words."""
-        return _finalize_total(fold_bins(partial), self.params, True)
+    def words(self, partial: int) -> Words:
+        """Range-checked HP words of a total."""
+        return _finalize_total(partial, self.params)
 
-    def finalize(self, partial: tuple) -> float:
+    def finalize(self, partial: int) -> float:
         return self.result(partial)[0]
 
-    def result(self, partial: tuple) -> tuple[float, tuple]:
+    def result(self, partial: int) -> tuple[float, tuple]:
         words = self.words(partial)
-        return to_double(words, self.params), words
+        return scaled_to_double(partial, self.params), words
 
     def partial_nbytes(self) -> int:
-        # 16-byte signed wire slots (SmallaccChunksType): combined
-        # partials can exceed 64 bits per chunk.
         return 16 * self.nchunks
+
+    def pack(self, partial: int) -> bytes:
+        return b"".join(
+            chunk.to_bytes(16, "little", signed=True)
+            for chunk in bins_from_int(partial, self.nchunks)
+        )
+
+    def unpack(self, buf: bytes) -> int:
+        buf = self._sized(buf)
+        return fold_bins(
+            int.from_bytes(buf[i : i + 16], "little", signed=True)
+            for i in range(0, len(buf), 16)
+        )
 
 
 class HallbergMethod(ReductionMethod[tuple]):
@@ -325,6 +377,17 @@ class HallbergMethod(ReductionMethod[tuple]):
 
     def partial_nbytes(self) -> int:
         return 8 * self.params.n + 8  # digits + summand count
+
+    # N signed 64-bit digits, then the summand count: budget accounting
+    # travels on the wire with the digits.
+    def pack(self, partial: tuple) -> bytes:
+        digits, count = partial
+        return struct.pack(f"<{self.params.n}qQ", *digits, count)
+
+    def unpack(self, buf: bytes) -> tuple:
+        fmt = f"<{self.params.n}qQ"
+        *digits, count = struct.unpack(fmt, self._sized(buf))
+        return (tuple(digits), count)
 
 
 def standard_methods(

@@ -15,8 +15,11 @@ Three pieces:
   ``multiprocessing.shared_memory`` segment; every worker attaches a
   read-only ``numpy`` view over the same physical pages at pool start.
   Task messages are just ``(method, lo, hi)`` index ranges, and results
-  are the method's partial (HP words, small-accumulator chunks, a double)
-  plus a small metadata dict.
+  are the method's partial (HP words, an exact integer, a double)
+  plus a small metadata dict.  The method adapter is the whole algebra
+  of its partial — the paper's custom MPI datatype plus ``MPI_Op`` —
+  but a pool needs only its combine: partials cross the process
+  boundary by pickle, not by the adapter's ``pack`` bytes.
 * **Out-of-core streaming.**  For inputs larger than RAM the summands
   never enter a Python process wholesale: workers open the ``.npy`` file
   with ``np.memmap`` semantics (``np.load(..., mmap_mode="r")``) and

@@ -1,22 +1,15 @@
-"""Simulated MPI substrate: communicator, wire datatypes, reductions.
+"""Simulated MPI substrate: communicator, collectives, reductions.
 
 Stands in for the paper's MPI environment (Fig. 6): ranks exchange only
-packed bytes over FIFO channels, the reduction is a genuine binomial
-tree, and custom datatypes/ops carry the HP and Hallberg partials —
-the same machinery the paper built with ``MPI_Type_create`` and
-``MPI_Op_create``.
+packed bytes over FIFO channels, and the reduction is a genuine binomial
+tree.  The paper built a custom datatype with ``MPI_Type_create`` and an
+``MPI_Op`` with ``MPI_Op_create``; here the method adapter
+(:class:`repro.parallel.methods.ReductionMethod`) is both: its
+``pack``/``unpack`` are the datatype and its ``combine`` is the op.
 """
 
 from repro.parallel.simmpi.collectives import bcast, distributed_sum, gatherv, scatterv
 from repro.parallel.simmpi.comm import SimComm, TrafficStats
-from repro.parallel.simmpi.datatypes import (
-    Datatype,
-    DoubleType,
-    HallbergPartialType,
-    HPWordsType,
-    SmallaccChunksType,
-    datatype_for_method,
-)
 from repro.parallel.simmpi.reduce import (
     MPIReduceResult,
     mpi_allreduce_partials,
@@ -28,12 +21,6 @@ from repro.parallel.simmpi.reduce import (
 __all__ = [
     "SimComm",
     "TrafficStats",
-    "Datatype",
-    "DoubleType",
-    "HPWordsType",
-    "SmallaccChunksType",
-    "HallbergPartialType",
-    "datatype_for_method",
     "scatterv",
     "gatherv",
     "bcast",

@@ -24,7 +24,6 @@ from repro.observability import tracing as _trace
 from repro.parallel.methods import ReductionMethod
 from repro.parallel.partition import block_ranges
 from repro.parallel.simmpi.comm import SimComm
-from repro.parallel.simmpi.datatypes import datatype_for_method
 from repro.parallel.simmpi.reduce import mpi_reduce_partials
 
 P = TypeVar("P")
@@ -182,9 +181,7 @@ def distributed_sum(
             method.local_reduce(np.frombuffer(buf, dtype="<f8"))
             for buf in received
         ]
-        total = mpi_reduce_partials(
-            comm, partials, method, datatype_for_method(method), root=root
-        )
+        total = mpi_reduce_partials(comm, partials, method, root=root)
         if comm.pending():
             raise RuntimeError(f"{comm.pending()} undelivered messages")
         return method.finalize(total), total, comm

@@ -22,7 +22,6 @@ from repro.observability.profile import phase as _phase
 from repro.parallel.methods import ReductionMethod
 from repro.parallel.partition import block_ranges
 from repro.parallel.simmpi.comm import SimComm, TrafficStats
-from repro.parallel.simmpi.datatypes import Datatype, datatype_for_method
 
 P = TypeVar("P")
 
@@ -44,14 +43,15 @@ def mpi_reduce_partials(
     comm: SimComm,
     partials: list[P],
     method: ReductionMethod[P],
-    datatype: Datatype | None = None,
     root: int = 0,
 ) -> P:
     """Binomial-tree reduce of per-rank partials to ``root``.
 
     ``partials[r]`` is rank ``r``'s local value; the combined partial is
     returned (only meaningful at the root, as with ``MPI_Reduce``).
-    Every transfer is packed to bytes and unpacked on arrival.
+    Every transfer is packed to bytes by ``method.pack`` and unpacked on
+    arrival by ``method.unpack``: the adapter is the custom datatype and
+    ``method.combine`` the ``MPI_Op``.
     """
     if len(partials) != comm.size:
         raise ValueError(
@@ -61,7 +61,6 @@ def mpi_reduce_partials(
     # Work in virtual rank space so the tree roots at `root`, as MPI
     # implementations do internally.
     virt_to_real = [(v + root) % comm.size for v in range(comm.size)]
-    dtype = datatype or datatype_for_method(method)
     with _trace.span("simmpi.reduce", algo="binomial", size=comm.size,
                      method=method.name), _phase("simmpi.tree_reduce"):
         acc: list[P] = [partials[r] for r in virt_to_real]
@@ -73,8 +72,8 @@ def mpi_reduce_partials(
                 if partner >= comm.size:
                     continue
                 src, dst = virt_to_real[partner], virt_to_real[virt]
-                comm.send(src, dst, dtype.pack(acc[partner]))
-                received = dtype.unpack(comm.recv(dst, src))
+                comm.send(src, dst, method.pack(acc[partner]))
+                received = method.unpack(comm.recv(dst, src))
                 acc[virt] = method.combine(acc[virt], received)
             comm.barrier_round()
             depth += 1
@@ -90,14 +89,12 @@ def mpi_allreduce_partials(
     comm: SimComm,
     partials: list[P],
     method: ReductionMethod[P],
-    datatype: Datatype | None = None,
 ) -> list[P]:
     """Reduce-then-broadcast allreduce; every rank ends with the root's
     exact bytes, so exact methods are bit-identical everywhere."""
-    dtype = datatype or datatype_for_method(method)
     with _trace.span("simmpi.allreduce", algo="reduce_bcast",
                      size=comm.size, method=method.name):
-        total = mpi_reduce_partials(comm, partials, method, dtype, root=0)
+        total = mpi_reduce_partials(comm, partials, method, root=0)
         # Binomial broadcast from rank 0.
         have = [True] + [False] * (comm.size - 1)
         results: list[P | None] = [total] + [None] * (comm.size - 1)
@@ -106,8 +103,8 @@ def mpi_allreduce_partials(
             for r in range(comm.size):
                 partner = r + mask
                 if have[r] and partner < comm.size and not have[partner]:
-                    comm.send(r, partner, dtype.pack(results[r]))
-                    results[partner] = dtype.unpack(comm.recv(partner, r))
+                    comm.send(r, partner, method.pack(results[r]))
+                    results[partner] = method.unpack(comm.recv(partner, r))
                     have[partner] = True
             comm.barrier_round()
             mask *= 2
@@ -142,7 +139,6 @@ def mpi_allreduce_recursive_doubling(
     comm: SimComm,
     partials: list[P],
     method: ReductionMethod[P],
-    datatype: Datatype | None = None,
 ) -> list[P]:
     """Recursive-doubling allreduce — MPI's large-communicator algorithm.
 
@@ -159,7 +155,6 @@ def mpi_allreduce_recursive_doubling(
         raise ValueError(
             f"got {len(partials)} partials for a size-{comm.size} communicator"
         )
-    dtype = datatype or datatype_for_method(method)
     size = comm.size
     pof2 = 1
     while pof2 * 2 <= size:
@@ -173,9 +168,9 @@ def mpi_allreduce_recursive_doubling(
         # [0, rem), which absorb them and act for both.
         for extra in range(rem):
             src, dst = pof2 + extra, extra
-            comm.send(src, dst, dtype.pack(acc[src]))
+            comm.send(src, dst, method.pack(acc[src]))
             acc[dst] = method.combine(
-                acc[dst], dtype.unpack(comm.recv(dst, src))
+                acc[dst], method.unpack(comm.recv(dst, src))
             )
         if rem:
             comm.barrier_round()
@@ -186,13 +181,13 @@ def mpi_allreduce_recursive_doubling(
             for rank in range(pof2):
                 partner = rank ^ mask
                 if rank < partner:  # one send per unordered pair per round
-                    comm.send(rank, partner, dtype.pack(acc[rank]))
-                    comm.send(partner, rank, dtype.pack(acc[partner]))
+                    comm.send(rank, partner, method.pack(acc[rank]))
+                    comm.send(partner, rank, method.pack(acc[partner]))
             for rank in range(pof2):
                 partner = rank ^ mask
                 if rank < partner:
-                    from_partner = dtype.unpack(comm.recv(rank, partner))
-                    from_rank = dtype.unpack(comm.recv(partner, rank))
+                    from_partner = method.unpack(comm.recv(rank, partner))
+                    from_rank = method.unpack(comm.recv(partner, rank))
                     acc[rank] = method.combine(acc[rank], from_partner)
                     acc[partner] = method.combine(acc[partner], from_rank)
             comm.barrier_round()
@@ -206,8 +201,8 @@ def mpi_allreduce_recursive_doubling(
         # Post-step: the absorbed ranks get the total back.
         for extra in range(rem):
             src, dst = extra, pof2 + extra
-            comm.send(src, dst, dtype.pack(acc[src]))
-            acc[dst] = dtype.unpack(comm.recv(dst, src))
+            comm.send(src, dst, method.pack(acc[src]))
+            acc[dst] = method.unpack(comm.recv(dst, src))
         if rem:
             comm.barrier_round()
     return acc

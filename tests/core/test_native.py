@@ -622,3 +622,39 @@ class TestCompiledCache:
         assert info["backend"] == "pure"
         assert "known-answer" in info["build_errors"]["cext"]
         assert err.count("warning:") == 1
+
+
+def run_backend_probe(cache: Path, **env_extra) -> subprocess.CompletedProcess:
+    """``python -m repro.core.native`` (CI's backend probe), warnings on."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_FORCE_PURE", "REPRO_NATIVE",
+                        "REPRO_NATIVE_CACHE", "PYTHONWARNINGS")}
+    env.update(PYTHONPATH=str(SRC), REPRO_NATIVE_CACHE=str(cache), **env_extra)
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "repro.core.native"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestBackendProbe:
+    def test_forced_pure_exits_zero_without_warnings(self, tmp_path):
+        probe = run_backend_probe(tmp_path / "cache", REPRO_FORCE_PURE="1")
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "repro native backend: pure\n"
+        assert "RuntimeWarning" not in probe.stderr
+        assert probe.stderr == ""
+
+    def test_compiled_exits_zero_without_warnings(self, cache):
+        probe = run_backend_probe(cache)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "repro native backend: cext\n"
+        assert "RuntimeWarning" not in probe.stderr
+
+    def test_fallback_to_pure_exits_one(self, tmp_path):
+        refused = tmp_path / "cache"
+        refused.mkdir()
+        refused.chmod(0o777)  # writable by others: never loaded from
+        probe = run_backend_probe(refused)
+        assert probe.returncode == 1
+        assert probe.stdout == "repro native backend: pure\n"
+        assert "RuntimeWarning" not in probe.stderr

@@ -1,7 +1,7 @@
 """Compensated tiers across the parallel substrates.
 
 The merge algebra travels: ``CompPartial`` pickles through the procs
-pool, packs through the simmpi wire codec, and rank-order-combines on
+pool, packs through the adapter's wire codec, and rank-order-combines on
 threads — and on every substrate the global result stays inside the
 tier's advertised bound with run-to-run determinism for a fixed
 partition.  Bit-identity across *different* substrates or PE counts is
@@ -19,10 +19,6 @@ from repro.core import bounds
 from repro.core import compensated as comp
 from repro.parallel.drivers import global_sum, make_method
 from repro.parallel.methods import CompensatedMethod
-from repro.parallel.simmpi.datatypes import (
-    CompensatedPartialType,
-    datatype_for_method,
-)
 
 MODELS = {
     "comp-pairwise": "pairwise",
@@ -103,27 +99,21 @@ class TestGlobalSum:
 
 class TestWireCodec:
     def test_roundtrip_is_exact(self):
-        dt = CompensatedPartialType()
-        assert dt.nbytes == 32
+        m = CompensatedMethod()
+        assert m.partial_nbytes() == 32
         partial = comp.CompPartial(-1.5e300, 7.25e-300, 123456789, 2.5e300)
-        buf = dt.pack(partial)
+        buf = m.pack(partial)
         assert len(buf) == 32
-        out = dt.unpack(buf)
+        out = m.unpack(buf)
         assert isinstance(out, comp.CompPartial)
         assert out == partial
 
     def test_roundtrip_accepts_plain_tuple(self):
-        dt = CompensatedPartialType()
-        assert dt.unpack(dt.pack((0.5, -0.25, 7, 0.5))) == comp.CompPartial(
+        m = CompensatedMethod()
+        assert m.unpack(m.pack((0.5, -0.25, 7, 0.5))) == comp.CompPartial(
             0.5, -0.25, 7, 0.5
-        )
-
-    def test_dispatch_from_method(self):
-        assert isinstance(
-            datatype_for_method(CompensatedMethod()),
-            CompensatedPartialType,
         )
 
     def test_size_check(self):
         with pytest.raises(ValueError, match="32 bytes"):
-            CompensatedPartialType().unpack(b"\x00" * 31)
+            CompensatedMethod().unpack(b"\x00" * 31)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.params import HPParams
-from repro.core.scalar import add_words
 from repro.experiments.datasets import zero_sum_set
 from repro.hallberg.params import HallbergParams
 from repro.parallel.gpu import gpu_sum
@@ -49,10 +48,7 @@ def _all_substrate_words(data: np.ndarray) -> dict[str, tuple]:
         out[f"mpi p={p}"] = mpi_reduce(data, method, p).partial
     g = gpu_sum(data, "hp", num_threads=64, params=HP_PARAMS,
                 max_concurrent_threads=32)
-    total = (0,) * HP_PARAMS.n
-    for part in g.partials:
-        total = add_words(total, part)
-    out["gpu t=64"] = total
+    out["gpu t=64"] = g.total
     out["phi t=60"] = offload_reduce(data, method, 60).partial
     return out
 

@@ -23,11 +23,7 @@ from repro.core.params import HPParams
 from repro.hallberg.params import HallbergParams
 from repro.parallel.gpu import gpu_sum
 from repro.parallel.methods import HPMethod
-from repro.parallel.simmpi import (
-    HPWordsType,
-    SimComm,
-    mpi_reduce_partials,
-)
+from repro.parallel.simmpi import SimComm, mpi_reduce_partials
 
 HP = HPParams(3, 2)
 HB = HallbergParams(10, 38)
@@ -97,21 +93,21 @@ class TestWireFailureInjection:
 
     def test_truncated_message_detected(self):
         """A short read must raise, not decode to a wrong partial."""
-        dtype = HPWordsType(HP)
-        blob = dtype.pack((1, 2, 3))
+        method = HPMethod(HP)
+        blob = method.pack((1, 2, 3))
         with pytest.raises(ValueError):
-            dtype.unpack(blob[:-1])
+            method.unpack(blob[:-1])
 
     def test_corrupted_bytes_change_value_loudly_or_exactly(self):
         """Bit corruption cannot be *silently absorbed*: the decoded
         partial differs from the original in exactly the flipped bits,
         so end-to-end checksums (the count fields) or value checks can
         catch it.  This pins the codec as deterministic and injective."""
-        dtype = HPWordsType(HP)
+        method = HPMethod(HP)
         original = (7, 8, 9)
-        blob = bytearray(dtype.pack(original))
+        blob = bytearray(method.pack(original))
         blob[0] ^= 0x01
-        decoded = dtype.unpack(bytes(blob))
+        decoded = method.unpack(bytes(blob))
         assert decoded != original
         assert decoded == (6, 8, 9)  # precisely the flipped low bit of word 0
 

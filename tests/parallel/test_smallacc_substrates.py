@@ -1,10 +1,14 @@
-"""hp-small across the substrates: flat chunk partials, any schedule.
+"""The default exact adapters across every substrate, against the oracle.
 
-The small engine's partials are one int64 chunk array — no side carry —
-so the combine is plain elementwise addition.  These tests pin the
-architecture-invariance contract: words must be bit-identical to the hp
-adapter on every substrate and PE count, and the wire codec must
-round-trip chunk partials exactly.
+Both run Neal's small accumulator locally.  The ``hp`` adapter ships HP
+words and combines them with Listing 2; ``hp-small`` ships the exact
+scaled integer, so its combine is integer addition, and the integer
+travels over the wire in 16-byte signed chunk slots.  These tests pin
+the architecture-invariance contract of the default path — the words
+must be bit-identical to the paper's word-matrix reference engine and
+to each other on every substrate (the simulated GPU block kernel
+included) and at every PE count — plus each adapter's algebra and the
+chunk codec's framing.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro.core.params import HPParams
+from repro.core.scalar import to_double
+from repro.core.smallacc import fold_bins
+from repro.core.vectorized import batch_sum_doubles
 from repro.parallel.drivers import global_sum, make_method
 from repro.parallel.methods import HPMethod, HPSmallaccMethod
-from repro.parallel.simmpi import datatype_for_method
-from repro.parallel.simmpi.datatypes import SmallaccChunksType
 from repro.util.rng import default_rng
 
 PARAMS = HPParams(6, 3)
@@ -33,6 +38,12 @@ def data() -> np.ndarray:
 @pytest.fixture(scope="module")
 def hp_words(data) -> tuple:
     return global_sum(data, method="hp", params=PARAMS).words
+
+
+@pytest.fixture(scope="module")
+def oracle_words(data) -> tuple:
+    """The oracle: the word-matrix reference engine, serially."""
+    return batch_sum_doubles(data, PARAMS, method="words")
 
 
 class TestDriverIntegration:
@@ -89,6 +100,59 @@ class TestDriverIntegration:
         assert a.bitwise_equal(b)
 
 
+class TestHPDriverIntegration:
+    def test_make_method_resolves(self):
+        m = make_method("hp")
+        assert isinstance(m, HPMethod)
+        assert m.engine == "small"
+        assert m.params == HPParams(6, 3)
+
+    def test_make_method_rejects_wrong_params(self):
+        from repro.hallberg.params import HallbergParams
+
+        with pytest.raises(TypeError):
+            make_method("hp", HallbergParams(10, 38))
+
+    @pytest.mark.parametrize("substrate,pes", [
+        ("serial", 1),
+        ("threads", 4),
+        ("threads", 7),
+        ("mpi", 8),
+        ("mpi-scatter", 5),
+        ("phi", 6),
+    ])
+    def test_words_match_hp_everywhere(self, data, oracle_words, substrate,
+                                       pes):
+        r = global_sum(
+            data, method="hp", substrate=substrate, pes=pes, params=PARAMS,
+        )
+        assert r.words == oracle_words
+        assert r.value == to_double(oracle_words, PARAMS)
+
+    def test_gpu_block_path(self, data, oracle_words):
+        r = global_sum(
+            data, method="hp-small", substrate="gpu", pes=8, params=PARAMS,
+        )
+        assert r.words == oracle_words
+        assert r.pes == 8
+
+    def test_pe_count_invariance(self, data):
+        results = {
+            global_sum(
+                data, method="hp", substrate="threads", pes=p, params=PARAMS,
+            ).words
+            for p in (1, 2, 3, 5, 8)
+        }
+        assert len(results) == 1
+
+    def test_bitwise_equal_across_methods(self, data):
+        a = global_sum(data, method="hp-small", substrate="gpu", pes=4,
+                       params=PARAMS)
+        b = global_sum(data, method="hp", substrate="threads", pes=4,
+                       params=PARAMS)
+        assert a.bitwise_equal(b)
+
+
 class TestMethodAlgebra:
     def test_identity_is_neutral(self, data):
         m = HPSmallaccMethod(PARAMS)
@@ -104,6 +168,7 @@ class TestMethodAlgebra:
         m = HPSmallaccMethod(PARAMS)
         a, b = np.array_split(data, 2)
         combined = m.combine(m.local_reduce(a), m.local_reduce(b))
+        assert combined == m.local_reduce(data)
         assert m.words(combined) == m.words(m.local_reduce(data))
 
     def test_empty_block_is_identity(self):
@@ -117,54 +182,77 @@ class TestMethodAlgebra:
             hp.local_reduce(data)
         )
 
-    def test_partials_are_canonical(self, data):
-        """local_reduce ships the canonical (fully propagated) chunk
-        form — the transport contract merge_chunks assumes."""
-        from repro.core.smallacc import bin_count, bins_from_int, fold_bins
-
-        m = HPSmallaccMethod(PARAMS)
-        partial = m.local_reduce(data)
-        assert partial == bins_from_int(
-            fold_bins(partial), bin_count(PARAMS)
-        )
-
     def test_is_exact(self):
         assert HPSmallaccMethod(PARAMS).is_exact()
 
 
+class TestHPMethodAlgebra:
+    def test_identity_is_neutral(self, data):
+        m = HPMethod(PARAMS)
+        partial = m.local_reduce(data)
+        assert m.combine(partial, m.identity()) == partial
+        assert m.combine(m.identity(), partial) == partial
+
+    def test_combine_matches_concatenation(self, data):
+        m = HPMethod(PARAMS)
+        a, b = np.array_split(data, 2)
+        combined = m.combine(m.local_reduce(a), m.local_reduce(b))
+        assert combined == m.local_reduce(data)
+
+    def test_finalize_matches_hp(self, data):
+        m = HPMethod(PARAMS)
+        reference = HPMethod(PARAMS, engine="words")
+        assert m.local_reduce(data) == reference.local_reduce(data)
+        assert m.finalize(m.local_reduce(data)) == reference.finalize(
+            reference.local_reduce(data)
+        )
+
+    def test_is_exact(self):
+        assert HPMethod(PARAMS).is_exact()
+
+
 class TestWireCodec:
-    def test_datatype_dispatch(self):
-        dt = datatype_for_method(HPSmallaccMethod(PARAMS))
-        assert isinstance(dt, SmallaccChunksType)
-        # hp-small must not shadow hp's word codec.
-        from repro.parallel.simmpi import HPWordsType
-
-        assert isinstance(datatype_for_method(HPMethod(PARAMS)), HPWordsType)
-
-    def test_nbytes_matches_method(self):
+    def test_nbytes_matches_method(self, data):
         m = HPSmallaccMethod(PARAMS)
-        dt = SmallaccChunksType(PARAMS)
-        assert dt.nbytes == m.partial_nbytes()
+        assert m.partial_nbytes() == 16 * m.nchunks
+        assert len(m.pack(m.local_reduce(data))) == m.partial_nbytes()
 
     def test_roundtrip_negative_chunks(self, data):
         m = HPSmallaccMethod(PARAMS)
-        dt = SmallaccChunksType(PARAMS)
         partial = m.local_reduce(-np.abs(data))
-        assert any(v != 0 for v in partial)
-        assert dt.unpack(dt.pack(partial)) == partial
+        assert partial < 0
+        assert m.unpack(m.pack(partial)) == partial
+
+    def test_roundtrip_negative_bins(self, data):
+        m = HPSmallaccMethod(PARAMS)
+        partial = m.combine(
+            m.local_reduce(-np.abs(data)), m.local_reduce(-np.abs(data))
+        )
+        assert partial < 0
+        assert m.unpack(m.pack(partial)) == partial
+
+    def test_unpack_rejects_wrong_size(self):
+        m = HPSmallaccMethod(PARAMS)
+        with pytest.raises(ValueError):
+            m.unpack(b"\x00" * (m.partial_nbytes() - 1))
 
     def test_wire_slots_are_16_bytes_signed(self):
         """The wire layout: one 16-byte signed little-endian slot per
-        chunk, wide enough for chunks a combine tree pushed past 64
-        bits."""
-        dt = SmallaccChunksType(PARAMS)
-        assert dt.nbytes == 16 * dt.nchunks
-        partial = (-(1 << 70),) + tuple(range(dt.nchunks - 1))
-        buf = dt.pack(partial)
-        assert buf[:16] == (-(1 << 70)).to_bytes(16, "little", signed=True)
-        assert dt.unpack(buf) == partial
+        chunk, slot ``i`` weighted ``2**(32*i)``, wide enough for slots
+        a combine tree pushed past 64 bits; unpack folds any slots."""
+        m = HPSmallaccMethod(PARAMS)
+        slots = (-(1 << 70),) + tuple(range(m.nchunks - 1))
+        buf = b"".join(s.to_bytes(16, "little", signed=True) for s in slots)
+        assert m.unpack(buf) == fold_bins(slots)
+        canonical = tuple(range(1, m.nchunks)) + (-(1 << 70),)
+        total = fold_bins(canonical)
+        assert m.pack(total) == b"".join(
+            s.to_bytes(16, "little", signed=True) for s in canonical
+        )
+        assert m.unpack(m.pack(total)) == total
 
     def test_cancellation_over_the_wire(self):
+        """A zero-sum dataset reduced over MPI must land on exact zero."""
         rng = default_rng(7)
         xs = rng.uniform(-1.0, 1.0, 256)
         both = np.concatenate([xs, -xs])
