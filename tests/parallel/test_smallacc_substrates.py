@@ -100,7 +100,7 @@ class TestDriverIntegration:
         assert a.bitwise_equal(b)
 
 
-class TestHPDriverIntegration:
+class TestHPDrivers:
     def test_make_method_resolves(self):
         m = make_method("hp")
         assert isinstance(m, HPMethod)
@@ -231,6 +231,14 @@ class TestWireCodec:
         assert partial < 0
         assert m.unpack(m.pack(partial)) == partial
 
+    def test_nbytes_fixed_for_combined_partials(self, data):
+        """A combine tree widens the integer, never its wire size."""
+        m = HPSmallaccMethod(PARAMS)
+        leaf = m.local_reduce(data)
+        wide = m.combine((1 << 70) << (32 * (m.nchunks - 1)), leaf)
+        for part in (m.combine(leaf, leaf), wide):
+            assert len(m.pack(part)) == m.partial_nbytes()
+
     def test_unpack_rejects_wrong_size(self):
         m = HPSmallaccMethod(PARAMS)
         with pytest.raises(ValueError):
@@ -257,6 +265,16 @@ class TestWireCodec:
         xs = rng.uniform(-1.0, 1.0, 256)
         both = np.concatenate([xs, -xs])
         r = global_sum(both, method="hp-small", substrate="mpi", pes=8,
+                       params=PARAMS)
+        assert r.value == 0.0
+        assert r.words == (0,) * PARAMS.n
+
+    def test_hp_cancellation_over_the_wire(self):
+        """The same zero-sum dataset with HP words as the MPI partial."""
+        rng = default_rng(7)
+        xs = rng.uniform(-1.0, 1.0, 256)
+        both = np.concatenate([xs, -xs])
+        r = global_sum(both, method="hp", substrate="mpi", pes=8,
                        params=PARAMS)
         assert r.value == 0.0
         assert r.words == (0,) * PARAMS.n
