@@ -45,7 +45,6 @@ from repro.core import (
     hp_dot,
     HPNumber,
     HPParams,
-    SmallAccumulator,
     smallacc_total,
     batch_from_double,
     batch_sum_doubles,
@@ -83,7 +82,6 @@ __all__ = [
     "HPAccumulator",
     "HPMultiAccumulator",
     "AdaptiveAccumulator",
-    "SmallAccumulator",
     "smallacc_total",
     "hp_dot",
     "AtomicHPCell",

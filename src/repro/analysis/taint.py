@@ -299,9 +299,7 @@ def propagate_taint(project) -> dict[str, dict]:
     example_good=(
         'def exact_total(xs):\n'
         '    """Exact, order-invariant total."""\n'
-        '    acc = SmallAccumulator(params)\n'
-        '    acc.absorb(xs)\n'
-        '    return acc.total()'
+        '    return engines.scaled_total(xs, params, chunk, "small")'
     ),
 )
 def check_taint_reaches_exact(project) -> Iterator[Finding]:

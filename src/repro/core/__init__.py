@@ -39,7 +39,7 @@ from repro.core.io import (
 from repro.core.matvec import CSRMatrix, hp_matvec, hp_spmv
 from repro.core.multi import HPMultiAccumulator
 from repro.core.norms import exact_norm2, exact_sum_abs, sqrt_correctly_rounded
-from repro.core.smallacc import SmallAccumulator, smallacc_total
+from repro.core.smallacc import smallacc_total
 from repro.core.streaming import AdaptiveAccumulator
 from repro.core.hpnum import HPNumber
 from repro.core.params import HPParams, TABLE1_CONFIGS, suggest_params
@@ -72,7 +72,6 @@ __all__ = [
     "HPAccumulator",
     "HPMultiAccumulator",
     "AdaptiveAccumulator",
-    "SmallAccumulator",
     "smallacc_total",
     "hp_dot",
     "hp_dot_words",

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.params import HPParams, suggest_params
 from repro.core.scalar import Words, to_double
-from repro.core.vectorized import _signed_total
 from repro.errors import ParameterError
 from repro.util.bits import signed_int_to_words
 
@@ -130,8 +130,9 @@ def hp_dot_words(
 
     Both the rounded products and their error terms are folded in, so
     the result is the exact inner product — invariant to term order.
-    ``method`` selects the summation engine exactly as in
-    :func:`repro.core.vectorized.batch_sum_doubles`.
+    ``method`` names an exact engine in the :mod:`repro.core.engines`
+    registry, as in :func:`repro.core.vectorized.batch_sum_doubles`;
+    any other name raises ``ValueError``.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -139,29 +140,11 @@ def hp_dot_words(
         raise ValueError(
             f"need equal-length 1-D arrays, got {xs.shape} and {ys.shape}"
         )
-    if method == "small":
-        from repro.core.smallacc import SmallAccumulator
-
-        engine = SmallAccumulator(params, chunk=chunk)
-        for start in range(0, len(xs), chunk):
-            p, e = split_products(
-                xs[start:start + chunk], ys[start:start + chunk]
-            )
-            engine.absorb(p)
-            engine.absorb(e)
-        total = engine.total()
-    elif method == "words":
-        from repro.core.vectorized import batch_from_double
-
-        total = 0
-        for start in range(0, len(xs), chunk):
-            p, e = split_products(
-                xs[start:start + chunk], ys[start:start + chunk]
-            )
-            total += _signed_total(batch_from_double(p, params))
-            total += _signed_total(batch_from_double(e, params))
-    else:
-        raise ValueError(f"unknown summation method {method!r}")
+    engine_total = engines.total_function(method)
+    total = 0
+    for start in range(0, len(xs), chunk):
+        p, e = split_products(xs[start:start + chunk], ys[start:start + chunk])
+        total += engine_total(p, params, chunk) + engine_total(e, params, chunk)
     if not params.min_int <= total <= params.max_int:
         from repro.errors import AdditionOverflowError
 

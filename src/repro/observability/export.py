@@ -16,8 +16,8 @@ the formats the outside world scrapes and renders:
 * :func:`chrome_trace` — every finished :class:`Tracer` span as a
   Chrome trace-event ``"X"`` (complete) event, loadable in
   ``chrome://tracing`` and Perfetto.  Spans measured inside procpool
-  workers (re-homed by :meth:`Tracer.record_imported`, carrying a
-  ``pid`` attribute) are placed on their own pid/tid track, and spans
+  workers (adopted by :meth:`Tracer.adopt`, carrying a ``pid``
+  attribute) are placed on their own pid/tid track, and spans
   nested under a worker span inherit that track, so one document shows
   the master timeline and each worker's timeline side by side.
 
@@ -59,8 +59,6 @@ HELP_TEXT = {
     "hp_accumulator_adds": "HPAccumulator add operations performed.",
     "smallacc_backend":
         "Resolved smallacc kernel backend (labelled gauge, value 1).",
-    "smallacc_propagate_triggers":
-        "Deferred carry propagations forced by the add-count headroom bound.",
     "smallacc_scatter_bytes": "Bytes scattered into small-accumulator chunks.",
     "atomic_cas_retries": "Failed CAS attempts (attempts minus successes).",
     "atomic_cas_attempts_per_add": "CAS attempts per successful word add.",
@@ -407,7 +405,7 @@ def chrome_trace(
     microsecond ``ts``/``dur`` on the wall clock.  Track assignment:
 
     * spans carrying a ``pid`` attribute — procpool worker spans, after
-      :meth:`Tracer.record_imported` — open a track ``(pid, pid)``;
+      :meth:`Tracer.adopt` — open a track ``(pid, pid)``;
     * spans whose nearest recorded ancestor sits on a worker track
       inherit it (a worker's nested engine spans land beside it);
     * everything else renders on the master track ``(MASTER_PID,

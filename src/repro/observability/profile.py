@@ -20,8 +20,8 @@ total.  Three layers:
 * **Cost table** — :class:`ProfileReport` aggregates the recorded
   ``phase.*`` spans into self-time / cumulative / percent rows, with
   per-worker attribution: spans measured inside procpool workers arrive
-  re-homed by :meth:`repro.observability.tracing.Tracer.record_imported`
-  under a span carrying ``pid`` and ``pe`` attributes, and the report
+  through :meth:`repro.observability.tracing.Tracer.adopt`, nested under
+  a span carrying ``pid`` and ``pe`` attributes, and the report
   walks each phase span's ancestry to place it on that worker's row,
   one per PE even when one process ran several PEs' tasks.
 * **Sampling profiler** — :class:`SamplingProfiler` is a stdlib-only

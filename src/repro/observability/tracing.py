@@ -346,8 +346,8 @@ class Tracer:
     def adopt(self, spans: list[Span]) -> list[Span]:
         """Append remotely-created spans *verbatim* — ids and parent
         links were assigned at creation time from a disjoint block (see
-        :meth:`allocate_block`), so unlike :meth:`record_imported` there
-        is nothing to remap.  No-op while the gate is off."""
+        :meth:`allocate_block`), so there is nothing to remap.  No-op
+        while the gate is off."""
         if not ENABLED:
             return []
         with self._lock:
@@ -392,39 +392,6 @@ class Tracer:
     def import_spans(doc: dict) -> list[Span]:
         """Rebuild :class:`Span` objects from an exported document."""
         return [Span.from_dict(d) for d in doc.get("spans", [])]
-
-    def record_imported(
-        self, spans: list[Span], parent: Span | None = None
-    ) -> list[Span]:
-        """Adopt externally-measured spans into this tracer.
-
-        The process-pool substrate measures worker spans in the worker's
-        own tracer and ships them back with the partials; this re-homes
-        them: every span gets a fresh id, parent links *within* the batch
-        are remapped, and batch roots are attached under ``parent`` (or
-        left as roots).  Spans must arrive parents-before-children, which
-        :meth:`export` guarantees.  No-op (returns ``[]``) while the gate
-        is off.
-        """
-        if not ENABLED:
-            return []
-        id_map: dict[int, int] = {}
-        with self._lock:
-            for sp in spans:
-                old_id = sp.span_id
-                sp.span_id = self._next_id
-                self._next_id += 1
-                if old_id is not None:
-                    id_map[old_id] = sp.span_id
-            for sp in spans:
-                if sp.parent_id in id_map:
-                    sp.parent_id = id_map[sp.parent_id]
-                elif parent is not None:
-                    sp.parent_id = parent.span_id
-                else:
-                    sp.parent_id = None
-                self._spans.append(sp)
-        return list(spans)
 
     def reset(self) -> None:
         with self._lock:

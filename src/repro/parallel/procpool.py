@@ -39,12 +39,12 @@ partials, which the tests pin.
 
 Observability: the master records ``procpool.*`` metrics and a
 ``procpool.reduce`` span; workers measure their own ``procpool.worker``
-spans (plus any nested engine spans) in their private tracer and ship
-them back with the partials, where
-:meth:`repro.observability.tracing.Tracer.record_imported` re-homes them
-under the master's reduce span.  Worker-side counters (for example
-``smallacc.propagate_triggers``) are merged into the master registry the same
-way.
+spans (plus any nested engine spans) in their private tracer, with ids
+from a block the master allocated and parent links to the master's
+reduce span, and ship them back with the partials, where
+:meth:`repro.observability.tracing.Tracer.adopt` appends them verbatim.
+Worker-side counters (for example ``smallacc.scatter_bytes``) are merged
+into the master registry the same way.
 """
 
 from __future__ import annotations
@@ -484,7 +484,7 @@ class ProcPool:
                 total = method.identity()
                 for part, _meta in outcomes:
                     total = method.combine(total, part)
-            self._record(outcomes, method, source, reduce_span)
+            self._record(outcomes, method, source)
             _journal.emit(
                 "merge", trace_id=ctx.trace_id, span_id=reduce_span.span_id,
                 method=method.name, substrate="procs", pes=self.pes,
@@ -512,22 +512,18 @@ class ProcPool:
             )
         return None
 
-    def _record(self, outcomes, method, source, reduce_span) -> None:
+    def _record(self, outcomes, method, source) -> None:
         """Fold worker metadata into the master's observability layer."""
         if _trace.ENABLED:
             for _part, meta in outcomes:
                 worker_spans = meta.get("spans")
                 if worker_spans:
-                    spans = [_trace.Span.from_dict(d) for d in worker_spans]
-                    if meta.get("trace"):
-                        # Created under a propagated TraceContext: ids
-                        # come from a disjoint block and parent links
-                        # already point at the reduce span.
-                        _trace.TRACER.adopt(spans)
-                    else:
-                        _trace.TRACER.record_imported(
-                            spans, parent=reduce_span
-                        )
+                    # Created under the task's TraceContext: ids come
+                    # from a disjoint block and parent links already
+                    # point at the reduce span.
+                    _trace.TRACER.adopt(
+                        [_trace.Span.from_dict(d) for d in worker_spans]
+                    )
         if _journal.ENABLED:
             for _part, meta in outcomes:
                 events = meta.get("journal")

@@ -441,10 +441,12 @@ class TestHP012EngineRegistryBypass:
         """, "src/repro/apps/_fixture.py") == []
 
     def test_good_engine_class_imports_unflagged(self):
-        # Only the batch total functions are registry-gated; the engine
-        # classes remain importable for streaming/merge use.
+        # Only the batch total functions are registry-gated; the
+        # streaming engine classes and the engines' helpers remain
+        # importable.
         assert rules_in("""
-            from repro.core.smallacc import SmallAccumulator
+            from repro.core.accumulator import HPAccumulator
+            from repro.core.smallacc import bin_count, fold_bins
         """, "src/repro/parallel/_fixture.py") == []
 
     def test_hosts_are_exempt(self):

@@ -122,6 +122,21 @@ class TestHpDot:
             hp_dot_words(rng.uniform(size=3), rng.uniform(size=4),
                          HPParams(4, 2))
 
+    def test_every_exact_engine_gives_the_same_words(self, rng):
+        xs = rng.uniform(-1.0, 1.0, 301)
+        ys = rng.uniform(-1.0, 1.0, 301)
+        params = dot_params(1.0, 1.0, 301)
+        small = hp_dot_words(xs, ys, params, chunk=64)
+        assert hp_dot_words(xs, ys, params, chunk=64, method="words") == small
+
+    @pytest.mark.parametrize("method", ["exact", "comp-kahan"])
+    def test_unknown_or_inexact_method_rejected(self, rng, method):
+        # Checked before the first piece, so empty input raises too.
+        for n in (0, 4):
+            with pytest.raises(ValueError):
+                hp_dot_words(rng.uniform(size=n), rng.uniform(size=n),
+                             HPParams(4, 2), method=method)
+
     @given(st.lists(st.tuples(moderate, moderate), min_size=0, max_size=30))
     @settings(max_examples=40)
     def test_property_exact(self, pairs):

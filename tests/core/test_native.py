@@ -27,15 +27,16 @@ import pytest
 
 from repro.core import native, planner
 from repro.core.params import HPParams
-from repro.core.smallacc import SmallAccumulator, bin_count
-from repro.core.vectorized import batch_sum_doubles
+from repro.core.smallacc import bin_count, smallacc_total
+from repro.core.vectorized import _finalize_total, batch_sum_doubles
 from repro.errors import ConversionOverflowError
+from repro.observability import metrics as obs_metrics
 from repro.observability.metrics import REGISTRY
 from repro.observability.profile import profiled
 from repro.observability.tracing import TRACER
 from repro.parallel.drivers import global_sum
 
-from tests.core.test_superacc import adversarial_pool, words
+from tests.core.test_smallacc import adversarial_pool, words
 
 P = HPParams(3, 2)
 
@@ -102,7 +103,6 @@ class TestResolution:
         assert native.resolve("auto") is first
         native._reset_for_tests()
         assert native.resolve("auto") is native.PURE
-        assert SmallAccumulator(P).backend == "pure"
 
 
 def compiled_total(kern, xs, params):
@@ -113,9 +113,7 @@ def compiled_total(kern, xs, params):
 
 
 def pure_total(xs, params):
-    pure = SmallAccumulator(params, backend="pure")
-    pure.absorb(xs)
-    return pure.total()
+    return smallacc_total(xs, params, backend="pure")
 
 
 class TestKernelBitIdentity:
@@ -129,12 +127,9 @@ class TestKernelBitIdentity:
     def test_engine_absorb_matches_pure(self, rng, hp_params):
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
-        compiled = SmallAccumulator(hp_params, backend="auto")
-        assert compiled.backend == kern.name
-        compiled.absorb(xs)
-        pure = SmallAccumulator(hp_params, backend="pure")
-        pure.absorb(xs)
-        assert compiled.to_words() == pure.to_words()
+        assert native.resolve("auto") is kern
+        compiled = smallacc_total(xs, hp_params, backend="auto")
+        assert compiled == pure_total(xs, hp_params)
 
     def test_internal_propagation_cadence(self, rng):
         """More elements than SMALL_PROPAGATE_LIMIT forces in-kernel
@@ -153,18 +148,13 @@ class TestKernelBitIdentity:
         assert compiled_total(kern, xs, P) == pure_total(xs, P)
 
     def test_cross_backend_merge(self, rng, hp_params):
-        """Compiled and pure accumulators over different halves must
-        merge to the one-shot pure result — interchangeable mid-stream."""
+        """Compiled and pure totals over different halves must add up
+        to the one-shot pure total — interchangeable mid-stream."""
         _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 600)
-        a = SmallAccumulator(hp_params, backend="auto")
-        b = SmallAccumulator(hp_params, backend="pure")
-        a.absorb(xs[:300])
-        b.absorb(xs[300:])
-        a.merge(b)
-        whole = SmallAccumulator(hp_params, backend="pure")
-        whole.absorb(xs)
-        assert a.total() == whole.total()
+        a = smallacc_total(xs[:300], hp_params, backend="auto")
+        b = smallacc_total(xs[300:], hp_params, backend="pure")
+        assert a + b == pure_total(xs, hp_params)
 
 
 class TestEntryPoints:
@@ -202,31 +192,24 @@ class TestEntryPoints:
         assert native._digest() == native._digest(native._EXT_SUFFIX)
 
 
-def _absorb_both(xs, params, seed_xs=None):
-    """Absorb ``xs`` on both backends after an optional ``seed_xs``
-    batch; return the (compiled, pure) accumulators and the errors the
-    two raised, checking that a rejected batch left no trace."""
-    accs, errors = [], []
+def _total_both(xs, params):
+    """Sum ``xs`` on both backends; return the (compiled, pure) words,
+    ``None`` for a rejected batch, and the errors the two raised."""
+    got, errors = [], []
     for backend in ("cext", "pure"):
-        acc = SmallAccumulator(params, backend=backend)
-        if seed_xs is not None:
-            acc.absorb(seed_xs)
-        before = (acc.chunks, acc.count)
         try:
-            acc.absorb(xs)
+            got.append(smallacc_words(xs, params, backend))
         except ConversionOverflowError as exc:
-            # A rejected batch leaves the accumulator as it was.
-            assert (acc.chunks, acc.count) == before
+            got.append(None)
             errors.append(exc)
-        accs.append(acc)
-    return accs, errors
+    return got, errors
 
 
 def _assert_exact_on_both(xs, params):
     """Compiled words == pure words == the words engine's."""
-    (compiled, pure), errors = _absorb_both(xs, params)
+    (compiled, pure), errors = _total_both(xs, params)
     assert not errors
-    assert compiled.to_words() == pure.to_words() == words(xs, params)
+    assert compiled == pure == words(xs, params)
 
 
 class TestLargeTableKernel:
@@ -277,7 +260,7 @@ class TestLargeTableKernel:
     def test_positive_range_edge_is_rejected(self, rng, n):
         xs = rng.uniform(-1.0, 1.0, n)
         xs[n // 2] = 2.0**P.whole_bits
-        _, (got, want) = _absorb_both(xs, P, rng.uniform(-1, 1, 300))
+        _, (got, want) = _total_both(xs, P)
         assert str(got) == str(want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -285,7 +268,7 @@ class TestLargeTableKernel:
     def test_nonfinite_rejected_like_pure(self, rng, bad, where):
         xs = rng.uniform(-1.0, 1.0, 3 * 2048 + 5)
         xs[where] = bad
-        _, (got, want) = _absorb_both(xs, P, rng.uniform(-1, 1, 300))
+        _, (got, want) = _total_both(xs, P)
         assert type(got) is type(want) and str(got) == str(want)
 
     def test_wide_format_rejects_negative_infinity(self, rng):
@@ -295,7 +278,7 @@ class TestLargeTableKernel:
         xs[[7, 3000]] = -1.7e308, 1.7e308
         _assert_exact_on_both(xs, params)
         xs[4000] = -math.inf
-        _, (got, want) = _absorb_both(xs, params)
+        _, (got, want) = _total_both(xs, params)
         assert str(got) == str(want)
 
     def test_block_sums_cannot_wrap(self):
@@ -369,9 +352,9 @@ class TestLargeTableKernel:
 
 
 def smallacc_words(xs, params, backend):
-    acc = SmallAccumulator(params, backend=backend)
-    acc.absorb(xs)
-    return acc.to_words()
+    return _finalize_total(
+        smallacc_total(xs, params, backend=backend), params, True
+    )
 
 
 def illconditioned(rng, n):
@@ -388,23 +371,37 @@ def illconditioned(rng, n):
     return x
 
 
+def smallacc_backend(monkeypatch, **kwargs) -> str:
+    """The backend one ``smallacc_total`` call ran on, read from its
+    ``smallacc.backend`` gauge."""
+    monkeypatch.setattr(obs_metrics, "ENABLED", True)
+    REGISTRY.clear()
+    try:
+        smallacc_total(np.ones(8), P, **kwargs)
+        (gauge,) = REGISTRY.collect("smallacc.backend")
+        return gauge["labels"]["backend"]
+    finally:
+        REGISTRY.clear()
+
+
 class TestEngineBackendSelection:
-    def test_smallacc_pure_pin(self):
-        assert SmallAccumulator(P, backend="pure").backend == "pure"
+    def test_smallacc_pure_pin(self, monkeypatch):
+        assert smallacc_backend(monkeypatch, backend="pure") == "pure"
 
     def test_smallacc_defaults_auto(self, clean_env):
         # The default exact engine takes whatever the resolution chain
         # yields: the compiled kernel where one builds.
-        assert SmallAccumulator(P).backend == native.backend_name()
+        assert smallacc_backend(clean_env) == native.backend_name()
 
     def test_smallacc_honors_force_pure(self, clean_env):
         clean_env.setenv("REPRO_FORCE_PURE", "1")
-        assert SmallAccumulator(P, backend="auto").backend == "pure"
+        assert native.resolve("auto") is native.PURE
+        assert smallacc_backend(clean_env, backend="auto") == "pure"
 
-    def test_explicit_compiled_name_round_trips(self):
+    def test_explicit_compiled_name_round_trips(self, monkeypatch):
         kern = _compiled_or_skip()
-        engine = SmallAccumulator(P, backend=kern.name)
-        assert engine.backend == kern.name
+        assert native.resolve(kern.name) is kern
+        assert smallacc_backend(monkeypatch, backend=kern.name) == kern.name
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"

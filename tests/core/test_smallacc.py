@@ -1,96 +1,159 @@
-"""Property tests pinning the small accumulator to the word path.
+"""Property tests pinning the small engine to the word path.
 
-The small engine (:mod:`repro.core.smallacc`) keeps its whole state in
-one int64 chunk array with in-place deferred carry propagation; every
-assertion here is *bit identity* — with the words engine, the scalar
-oracle (:func:`scatter_one`), and across merges — never closeness.  The
-carry machinery gets targeted stress via a tiny ``propagate_limit`` and
-the canonical-form sweep.
+:func:`repro.core.smallacc.smallacc_total` is the whole small engine:
+one function from an array of doubles to the exact signed scaled
+integer.  Every case that runs it runs on the compiled backend
+(``auto``, where one builds) and on pure NumPy.  Every assertion is
+*bit identity* — with the words engine, the scalar accumulator and the
+scalar oracle (:func:`scatter_one`) — never closeness, over adversarial
+inputs (subnormals, signed zeros, range-edge magnitudes, cancellation)
+and under every reordering a parallel schedule could produce
+(permutation, chunking, split and sum).  The pure path's piece cap gets
+targeted stress via a monkeypatched :data:`PROPAGATE_LIMIT`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from repro.core import native
+from repro.core import smallacc
 from repro.core.accumulator import HPAccumulator
+from repro.core.native import SMALL_PROPAGATE_LIMIT
 from repro.core.params import TABLE1_CONFIGS, HPParams
+from repro.core.scalar import from_double, to_double
 from repro.core.smallacc import (
+    BIN_BITS,
     PROPAGATE_LIMIT,
-    SmallAccumulator,
     bin_count,
     bins_from_int,
     fold_bins,
     scatter_one,
     smallacc_total,
 )
-from repro.core.vectorized import batch_sum_doubles, words_scaled_total
-from repro.errors import (
-    AdditionOverflowError,
-    ConversionOverflowError,
-    MixedParameterError,
+from repro.core.vectorized import (
+    _finalize_total,
+    batch_sum_doubles,
+    words_scaled_total,
 )
+from repro.errors import AdditionOverflowError, ConversionOverflowError
 from repro.experiments.datasets import wide_range_uniform
-
-from tests.core.test_superacc import adversarial_pool
 
 P = HPParams(3, 2)
 
 
+@pytest.fixture(params=["auto", "pure"])
+def backend(request) -> str:
+    return request.param
+
+
+def adversarial_pool(params: HPParams, rng, n: int = 2000) -> np.ndarray:
+    """Sign-mixed values spanning subnormals to the format's range edge."""
+    edge = 2.0 ** min(params.whole_bits - 2, 1021)
+    specials = [
+        0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),
+        1.0, -1.0, edge, -edge, edge / 3.0, -edge / 3.0,
+    ]
+    exps = rng.uniform(-60.0, min(params.whole_bits - 4, 60), n - len(specials))
+    bulk = rng.choice([-1.0, 1.0], n - len(specials)) * np.exp2(exps)
+    xs = np.concatenate([np.array(specials), bulk])
+    return rng.permutation(xs)
+
+
+def words(xs: np.ndarray, params: HPParams) -> tuple:
+    """The reference: the paper's word-matrix engine."""
+    return batch_sum_doubles(xs, params, method="words")
+
+
+def small_words(xs, params, backend, chunk=1 << 20, check_overflow=True):
+    return _finalize_total(
+        smallacc_total(xs, params, chunk, backend), params, check_overflow
+    )
+
+
+def trunc_scaled(x: float, params: HPParams) -> int:
+    """``trunc(x * 2**frac_bits)``, the HP conversion rule, exactly."""
+    ref = Fraction(x) * (1 << params.frac_bits)
+    return int(ref) if ref >= 0 else -int(-ref)
+
+
 class TestDeferredCarryBound:
     def test_propagate_limit_leaves_headroom(self):
-        # One unit bounds a chunk by 2**33; merging may add one more
-        # residue unit past the limit, so the worst case is
-        # (PROPAGATE_LIMIT + 1) units — still inside int64.
-        assert (PROPAGATE_LIMIT + 1) * (1 << 33) < (1 << 63)
+        # The pure path scatters at most PROPAGATE_LIMIT summands into a
+        # zeroed array, each adding one addend below 2**33 to a chunk.
+        assert PROPAGATE_LIMIT * (1 << 33) < (1 << 63)
+
+    def test_compiled_limit_leaves_headroom(self):
+        # The compiled two-limb loop adds at most one addend below 2**52
+        # per chunk per summand and propagates every
+        # SMALL_PROPAGATE_LIMIT adds, starting from a residue below
+        # 2**33: no chunk may reach the int64 edge in between.
+        assert (1 << 33) + SMALL_PROPAGATE_LIMIT * (1 << 52) < (1 << 63)
+        assert BIN_BITS == 32
 
     def test_chunk_count_matches_bins(self, hp_params):
         assert bin_count(hp_params) >= 3
 
-    def test_propagate_limit_validation(self):
-        with pytest.raises(ValueError):
-            SmallAccumulator(P, propagate_limit=0)
-        with pytest.raises(ValueError):
-            SmallAccumulator(P, propagate_limit=PROPAGATE_LIMIT + 1)
-
-    def test_carry_boundary_at_deferred_limit(self, rng):
-        """Force a propagation on every chunk boundary with the smallest
-        legal limits and confirm exactness is untouched."""
+    def test_carry_boundary_at_deferred_limit(self, rng, monkeypatch):
+        """A piece cap of a few summands splits the pure scatter into
+        many zeroed arrays; the total must not move."""
         xs = adversarial_pool(P, rng, 512)
         reference = words_scaled_total(xs, P)
         for limit in (1, 2, 3, 7):
-            engine = SmallAccumulator(
-                P, chunk=5, backend="pure", propagate_limit=limit
-            )
-            for i in range(0, len(xs), 13):
-                engine.absorb(xs[i : i + 13])
-            assert engine.total() == reference
+            monkeypatch.setattr(smallacc, "PROPAGATE_LIMIT", limit)
+            assert smallacc_total(xs, P, backend="pure") == reference
 
-    def test_interleaved_propagate_calls_are_neutral(self, rng):
-        xs = adversarial_pool(P, rng, 300)
-        engine = SmallAccumulator(P, backend="pure")
-        for i in range(0, len(xs), 50):
-            engine.absorb(xs[i : i + 50])
-            engine.propagate()
-        assert engine.total() == words_scaled_total(xs, P)
+    def test_piece_boundaries_match_one_shot(self, rng, hp_params):
+        xs = adversarial_pool(hp_params, rng, 300)
+        reference = smallacc_total(xs, hp_params, backend="pure")
+        for chunk in (1, 7):
+            assert smallacc_total(xs, hp_params, chunk, "pure") == reference
+
+    def test_nonpositive_chunk_rejected(self):
+        for chunk in (0, -5):
+            with pytest.raises(ValueError, match="chunk"):
+                smallacc_total(np.ones(4), P, chunk, "pure")
+
+
+class TestCanonicalForm:
+    def test_canonical_chunks_roundtrip(self, rng, hp_params):
+        nchunks = bin_count(hp_params)
+        for _ in range(20):
+            value = int(rng.integers(-(2**40), 2**40))
+            assert fold_bins(bins_from_int(value, nchunks)) == value
+
+    def test_fold_roundtrip(self, rng, hp_params):
+        nbins = bin_count(hp_params)
+        limbs = [int(v) for v in rng.integers(-(2**40), 2**40, nbins)]
+        value = fold_bins(limbs)
+        assert fold_bins(bins_from_int(value, nbins)) == value
+
+    def test_empty_input(self, backend):
+        empty = np.array([], dtype=np.float64)
+        assert smallacc_total(empty, P, backend=backend) == 0
+        assert small_words(empty, P, backend) == (0,) * P.n
 
 
 class TestScalarOracle:
-    def test_scatter_one_elementwise_sum_matches_engine(self, rng, hp_params):
-        """Summing per-value chunk tuples elementwise reproduces the
-        engine's canonical chunk state exactly — the regress anchor."""
+    def test_scatter_one_elementwise_sum_matches_engine(
+        self, rng, hp_params, backend
+    ):
+        """Summing per-value chunk tuples elementwise folds to the
+        engine's total exactly — the regress anchor."""
         xs = adversarial_pool(hp_params, rng, 400)
-        nchunks = bin_count(hp_params)
-        acc = [0] * nchunks
+        acc = [0] * bin_count(hp_params)
         for x in xs:
             for i, limb in enumerate(scatter_one(float(x), hp_params)):
                 acc[i] += limb
-        engine = SmallAccumulator(hp_params, backend="pure")
-        engine.absorb(xs)
-        engine.propagate()
-        assert engine.chunks == bins_from_int(fold_bins(acc), nchunks)
-        assert fold_bins(acc) == engine.total()
+        assert fold_bins(acc) == smallacc_total(xs, hp_params, backend=backend)
+
+    def test_scatter_one_matches_from_double(self, rng, hp_params):
+        """fold(scatter_one(x)) is exactly trunc(x * 2**frac_bits)."""
+        for x in adversarial_pool(hp_params, rng, 200):
+            scaled = fold_bins(scatter_one(float(x), hp_params))
+            assert scaled == trunc_scaled(float(x), hp_params), repr(float(x))
 
     def test_scatter_one_rejects_nonfinite(self, hp_params):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -100,22 +163,16 @@ class TestScalarOracle:
     def test_scatter_one_denormals(self, hp_params):
         """The smallest subnormals must decompose exactly (they may
         truncate to zero when below the format's resolution)."""
-        from fractions import Fraction
-
-        frac = hp_params.frac_bits
         for x in (5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**-1040):
             got = fold_bins(scatter_one(x, hp_params))
-            ref = Fraction(x) * (1 << frac)
-            ref = int(ref) if ref >= 0 else -int(-ref)  # trunc toward zero
-            assert got == ref, repr(x)
+            assert got == trunc_scaled(x, hp_params), repr(x)
 
-    def test_single_value_matches_scalar_accumulator(self, hp_params):
+    def test_single_value_matches_scalar_accumulator(self, hp_params, backend):
         for x in (1.5, -2.25, 0.0, -0.0, 2.0**-40, 5e-324):
             acc = HPAccumulator(hp_params)
             acc.add(x)
-            engine = SmallAccumulator(hp_params, backend="pure")
-            engine.absorb(np.array([x]))
-            assert engine.to_words() == acc.words
+            assert acc.words == from_double(x, hp_params)
+            assert small_words(np.array([x]), hp_params, backend) == acc.words
 
 
 def wide_summands(n: int, seed: int) -> np.ndarray:
@@ -137,11 +194,7 @@ class TestEngineGates:
     def test_small_matches_words_every_table1_format(self, config, backend):
         params = HPParams(*config)
         xs = wide_summands(1 << 17, 20160523)
-        engine = SmallAccumulator(params, backend=backend)
-        engine.absorb(xs)
-        assert engine.to_words() == tuple(
-            batch_sum_doubles(xs, params, method="words")
-        )
+        assert small_words(xs, params, backend) == words(xs, params)
 
     @pytest.mark.parametrize("backend", ["auto", "pure"])
     def test_small_matches_scalar_oracle_any_order(self, backend):
@@ -157,182 +210,108 @@ class TestEngineGates:
         for _ in range(3):
             permuted = xs[rng.permutation(n)]
             for chunk in (1 << 12, 1 << 16):
-                engine = SmallAccumulator(params, chunk=chunk, backend=backend)
-                assert engine.backend == native.resolve(backend).name
-                engine.absorb(permuted)
-                assert engine.to_words() == oracle.words, (chunk, backend)
+                got = small_words(permuted, params, backend, chunk)
+                assert got == oracle.words, (chunk, backend)
 
 
 class TestBitIdentity:
-    def test_matches_words_engine(self, rng, hp_params):
+    def test_matches_words_engine(self, rng, hp_params, backend):
         xs = adversarial_pool(hp_params, rng)
-        assert batch_sum_doubles(xs, hp_params, method="small") == (
-            batch_sum_doubles(xs, hp_params, method="words")
-        )
+        assert small_words(xs, hp_params, backend) == words(xs, hp_params)
 
-    def test_matches_words_total(self, rng, hp_params):
+    def test_matches_words_total(self, rng, hp_params, backend):
         xs = adversarial_pool(hp_params, rng, 900)
-        assert smallacc_total(xs, hp_params, backend="pure") == (
+        assert smallacc_total(xs, hp_params, backend=backend) == (
             words_scaled_total(xs, hp_params)
         )
 
-    def test_permutation_invariant(self, rng, hp_params):
+    def test_matches_scalar_accumulator(self, rng, hp_params, backend):
+        xs = adversarial_pool(hp_params, rng, 500)
+        acc = HPAccumulator(hp_params, check_overflow=False)
+        for x in xs:
+            acc.add(float(x))
+        assert small_words(xs, hp_params, backend) == acc.words
+
+    def test_permutation_invariant(self, rng, hp_params, backend):
         xs = adversarial_pool(hp_params, rng, 800)
-        reference = smallacc_total(xs, hp_params)
+        reference = words_scaled_total(xs, hp_params)
         for _ in range(3):
-            assert smallacc_total(rng.permutation(xs), hp_params) == reference
+            permuted = rng.permutation(xs)
+            assert smallacc_total(permuted, hp_params, backend=backend) == (
+                reference
+            )
 
-    def test_chunk_invariant(self, rng, hp_params):
+    def test_chunk_invariant(self, rng, hp_params, backend):
         xs = adversarial_pool(hp_params, rng, 701)
-        reference = smallacc_total(xs, hp_params)
+        reference = words_scaled_total(xs, hp_params)
         for chunk in (1, 3, 64, 1 << 20):
-            assert smallacc_total(xs, hp_params, chunk=chunk) == reference
+            assert smallacc_total(xs, hp_params, chunk, backend) == reference
 
-    def test_alternating_sign_cancellation_is_exact_zero(self, rng, hp_params):
+    def test_split_sum_matches_one_shot(self, rng, hp_params, backend):
+        """Unequal PE slices summed as integers — the ``hp-small``
+        adapter's combine — and as canonical chunk tuples added
+        elementwise give the one-shot total."""
+        xs = adversarial_pool(hp_params, rng, 900)
+        whole = smallacc_total(xs, hp_params, backend=backend)
+        nchunks = bin_count(hp_params)
+        for pieces in (2, 3, 7):
+            parts = [
+                smallacc_total(part, hp_params, backend=backend)
+                for part in np.array_split(xs, pieces)
+            ]
+            assert sum(parts) == whole
+            merged = [0] * nchunks
+            for part in parts:
+                for i, limb in enumerate(bins_from_int(part, nchunks)):
+                    merged[i] += limb
+            assert fold_bins(merged) == whole
+
+    def test_alternating_sign_cancellation_is_exact_zero(
+        self, rng, hp_params, backend
+    ):
         """x, -x interleaved (the adversarial ordering for float sums)
-        must land on exactly zero chunks, not just a zero double."""
+        and shuffled must cancel to exactly zero, not just a zero
+        double."""
         xs = adversarial_pool(hp_params, rng, 600)
         paired = np.empty(2 * len(xs))
         paired[0::2] = xs
         paired[1::2] = -xs
-        engine = SmallAccumulator(hp_params, backend="pure")
-        engine.absorb(paired)
-        assert engine.total() == 0
-        assert engine.to_double() == 0.0
-        engine.propagate()
-        assert engine.chunks == (0,) * bin_count(hp_params)
+        for order in (paired, rng.permutation(paired)):
+            assert smallacc_total(order, hp_params, backend=backend) == 0
+        assert to_double(small_words(paired, hp_params, backend), hp_params) == 0.0
 
-    def test_nonfinite_rejection_parity_with_words(self, hp_params):
-        """inf/NaN raise the same error type in both exact engines, and
-        a partial batch leaves no residue."""
+    def test_nonfinite_rejection_parity_with_words(self, hp_params, backend):
+        """NaN and ±inf raise the same error type in both exact engines,
+        wherever they sit."""
         for bad in (float("nan"), float("inf"), float("-inf")):
-            xs = np.array([1.0, bad, 2.0])
-            with pytest.raises(ConversionOverflowError):
-                smallacc_total(xs, hp_params)
-            with pytest.raises(ConversionOverflowError):
-                words_scaled_total(xs, hp_params)
-            engine = SmallAccumulator(hp_params, backend="pure")
-            with pytest.raises(ConversionOverflowError):
-                engine.absorb(xs)
-            assert engine.total() == 0
+            for xs in (np.array([1.0, bad, 2.0]), np.array([bad, 2.0])):
+                with pytest.raises(ConversionOverflowError):
+                    smallacc_total(xs, hp_params, backend=backend)
+                with pytest.raises(ConversionOverflowError):
+                    words_scaled_total(xs, hp_params)
 
-    def test_out_of_range_element_rejected(self):
+    def test_out_of_range_element_rejected(self, backend):
+        xs = np.array([0.0, 1e30, 0.0])
         with pytest.raises(ConversionOverflowError, match="element 1"):
-            smallacc_total(np.array([0.0, 1e30, 0.0]), HPParams(2, 1))
+            smallacc_total(xs, HPParams(2, 1), backend=backend)
 
-    def test_range_overflow_raises(self):
+    def test_range_overflow_raises(self, backend):
         params = HPParams(2, 1)
-        xs = np.full(4, 2.0**62)
         with pytest.raises(AdditionOverflowError):
-            batch_sum_doubles(xs, params, method="small")
+            small_words(np.full(4, 2.0**62), params, backend)
 
-
-class TestMergeAlgebra:
-    def test_merge_associativity(self, rng, hp_params):
-        """(a + b) + c == a + (b + c) at the chunk level."""
-        xs = adversarial_pool(hp_params, rng, 900)
-        parts = np.array_split(xs, 3)
-
-        def eng(data):
-            e = SmallAccumulator(hp_params, backend="pure")
-            e.absorb(data)
-            return e
-
-        left = eng(parts[0])
-        left.merge(eng(parts[1]))
-        left.merge(eng(parts[2]))
-
-        bc = eng(parts[1])
-        bc.merge(eng(parts[2]))
-        right = eng(parts[0])
-        right.merge(bc)
-
-        left.propagate()
-        right.propagate()
-        assert left.chunks == right.chunks
-        assert left.count == right.count == len(xs)
-
-    def test_split_merge_matches_one_shot(self, rng, hp_params):
-        xs = adversarial_pool(hp_params, rng, 800)
-        one = SmallAccumulator(hp_params, backend="pure")
-        one.absorb(xs)
-        for pieces in (2, 5, 7):
-            merged = SmallAccumulator(hp_params, backend="pure")
-            for part in np.array_split(xs, pieces):
-                local = SmallAccumulator(hp_params, backend="pure")
-                local.absorb(part)
-                merged.merge(local)
-            assert merged.to_words() == one.to_words()
-
-    def test_merge_chunks_roundtrip(self, rng, hp_params):
+    def test_accumulator_add_doubles_matches_extend(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 300)
-        src = SmallAccumulator(hp_params, backend="pure")
-        src.absorb(xs)
-        src.propagate()
-        dst = SmallAccumulator(hp_params, backend="pure")
-        dst.merge_chunks(src.chunks, count=src.count)
-        assert dst.total() == src.total()
-        assert dst.count == src.count
+        a = HPAccumulator(hp_params, check_overflow=False)
+        a.extend(xs.tolist())
+        b = HPAccumulator(hp_params, check_overflow=False)
+        b.add_doubles(xs)
+        assert a.words == b.words
+        assert a.count == b.count
 
-    def test_merge_chunks_rejects_wrong_arity(self):
-        engine = SmallAccumulator(P)
-        with pytest.raises(ValueError):
-            engine.merge_chunks((1, 2, 3) * 99)
-
-    def test_merge_identity_is_neutral(self, rng, hp_params):
-        xs = adversarial_pool(hp_params, rng, 200)
-        engine = SmallAccumulator(hp_params, backend="pure")
-        engine.absorb(xs)
-        before = engine.total()
-        engine.merge(SmallAccumulator(hp_params, backend="pure"))
-        assert engine.total() == before
-
-    def test_mixed_params_merge_rejected(self):
-        a = SmallAccumulator(HPParams(2, 1))
-        b = SmallAccumulator(HPParams(3, 2))
-        with pytest.raises(MixedParameterError):
-            a.merge(b)
-
-    def test_merge_propagates_at_unit_budget(self, rng):
-        """A merge whose combined unit account exceeds the limit must
-        propagate first, not overflow; exercised with a tiny limit."""
-        xs = adversarial_pool(P, rng, 400)
-        a = SmallAccumulator(P, backend="pure", propagate_limit=4)
-        b = SmallAccumulator(P, backend="pure", propagate_limit=4)
-        a.absorb(xs[:200])
-        b.absorb(xs[200:])
-        a.merge(b)
-        assert a.total() == words_scaled_total(xs, P)
-
-
-class TestCanonicalForm:
-    def test_propagate_yields_bins_from_int(self, rng, hp_params):
-        xs = adversarial_pool(hp_params, rng, 500)
-        engine = SmallAccumulator(hp_params, backend="pure")
-        engine.absorb(xs)
-        engine.propagate()
-        assert engine.chunks == bins_from_int(
-            engine.total(), bin_count(hp_params)
+    def test_overflow_check_disabled_wraps_identically(self, backend):
+        params = HPParams(2, 1)
+        xs = np.full(2, 2.0**62)
+        assert small_words(xs, params, backend, check_overflow=False) == (
+            batch_sum_doubles(xs, params, check_overflow=False, method="words")
         )
-
-    def test_canonical_chunks_roundtrip(self, rng, hp_params):
-        nchunks = bin_count(hp_params)
-        for _ in range(20):
-            value = int(rng.integers(-(2**40), 2**40))
-            assert fold_bins(bins_from_int(value, nchunks)) == value
-
-    def test_reset(self, rng):
-        engine = SmallAccumulator(P)
-        engine.absorb(rng.uniform(-1, 1, 100))
-        engine.reset()
-        assert engine.total() == 0
-        assert engine.count == 0
-
-    def test_empty_absorb(self):
-        engine = SmallAccumulator(P)
-        engine.absorb(np.array([], dtype=np.float64))
-        assert engine.to_words() == (0,) * P.n
-
-    def test_repr_names_backend(self):
-        engine = SmallAccumulator(P, backend="pure")
-        assert "backend='pure'" in repr(engine)

@@ -1,5 +1,5 @@
 """Chrome trace-event / Perfetto export: track assignment for master and
-procpool-worker spans, nesting after ``record_imported``, metadata."""
+procpool-worker spans, nesting after ``Tracer.adopt``, metadata."""
 
 from __future__ import annotations
 
@@ -14,31 +14,38 @@ from repro.observability.export import (
     chrome_trace,
     write_chrome_trace,
 )
-from repro.observability.tracing import TRACER, Tracer
+from repro.observability.tracing import TRACER, TraceContext, Tracer
 
 
 def _events(doc, ph="X"):
     return [e for e in doc["traceEvents"] if e["ph"] == ph]
 
 
-def _worker_batch(worker_pid: int, lo: int, hi: int) -> list:
-    """Replay the procpool worker protocol: a worker measures spans in
-    its *own* tracer (with the pid attribute the worker task stamps),
-    exports them, and the master re-homes them via record_imported."""
+def _worker_batch(parent, worker_pid: int, lo: int, hi: int) -> list:
+    """Replay the procpool worker protocol: the task carries a child
+    :class:`TraceContext` under the master's reduce span and a disjoint
+    id block; the worker seeds its *own* tracer from the block, measures
+    its spans under the reduce span (with the pid attribute the worker
+    task stamps) and exports them, and the master adopts them."""
+    ctx = TraceContext.new().child(
+        parent.span_id, id_base=TRACER.allocate_block()
+    )
     worker_tracer = Tracer()
+    worker_tracer.seed(ctx.id_base)
     with worker_tracer.span(
-        "procpool.worker", pid=worker_pid, lo=lo, hi=hi, n=hi - lo
+        "procpool.worker", parent_id=ctx.span_id, pid=worker_pid,
+        lo=lo, hi=hi, n=hi - lo, trace=ctx.trace_id,
     ):
-        with worker_tracer.span("smallacc.absorb", chunk=hi - lo):
+        with worker_tracer.span("smallacc.scatter", n=hi - lo):
             pass
-    return Tracer.import_spans(worker_tracer.export())
+    return TRACER.adopt(Tracer.import_spans(worker_tracer.export()))
 
 
 class TestMasterTrack:
     def test_plain_spans_on_master_track(self):
         tracing.enable()
         with TRACER.span("global_sum", substrate="serial"):
-            with TRACER.span("smallacc.absorb"):
+            with TRACER.span("smallacc.scatter"):
                 pass
         doc = chrome_trace()
         events = _events(doc)
@@ -89,8 +96,8 @@ class TestWorkerTracks:
         tracing.enable()
         with TRACER.span("procpool.reduce", pes=2) as parent:
             pass
-        TRACER.record_imported(_worker_batch(1001, 0, 50), parent=parent)
-        TRACER.record_imported(_worker_batch(1002, 50, 100), parent=parent)
+        _worker_batch(parent, 1001, 0, 50)
+        _worker_batch(parent, 1002, 50, 100)
 
         events = _events(chrome_trace())
         tracks = {e["name"]: (e["pid"], e["tid"]) for e in events
@@ -104,39 +111,38 @@ class TestWorkerTracks:
 
     def test_nested_worker_spans_inherit_worker_track(self):
         """A worker's inner engine span has no pid attribute of its own;
-        after record_imported it must follow its parent onto the worker
+        after adopt it must follow its parent onto the worker
         lane instead of polluting the master lane."""
         tracing.enable()
         with TRACER.span("procpool.reduce") as parent:
             pass
-        TRACER.record_imported(_worker_batch(4242, 0, 10), parent=parent)
+        _worker_batch(parent, 4242, 0, 10)
 
         events = {e["name"]: e for e in _events(chrome_trace())}
         worker = events["procpool.worker"]
-        inner = events["smallacc.absorb"]
+        inner = events["smallacc.scatter"]
         assert (worker["pid"], worker["tid"]) == (4242, 4242)
         assert (inner["pid"], inner["tid"]) == (4242, 4242)
 
-    def test_nesting_preserved_after_record_imported(self):
-        """record_imported remaps ids; the exported parent/child timing
-        containment is what Perfetto renders, so the worker span must
-        still enclose its child."""
+    def test_nesting_preserved_after_adopt(self):
+        """adopt keeps the ids the worker drew from its block, so the
+        worker span still parents its child and hangs under the reduce
+        span — the nesting Perfetto renders."""
         tracing.enable()
         with TRACER.span("procpool.reduce") as parent:
             pass
-        spans = TRACER.record_imported(
-            _worker_batch(7, 0, 10), parent=parent
-        )
+        spans = _worker_batch(parent, 7, 0, 10)
         by_name = {s.name: s for s in spans}
-        worker, inner = by_name["procpool.worker"], by_name["smallacc.absorb"]
+        worker, inner = by_name["procpool.worker"], by_name["smallacc.scatter"]
         assert inner.parent_id == worker.span_id
         assert worker.parent_id == parent.span_id
+        assert min(s.span_id for s in spans) >= tracing.ID_BLOCK
 
     def test_worker_metadata_tracks(self):
         tracing.enable()
         with TRACER.span("procpool.reduce") as parent:
             pass
-        TRACER.record_imported(_worker_batch(31, 0, 5), parent=parent)
+        _worker_batch(parent, 31, 0, 5)
         doc = chrome_trace()
         thread_names = {
             (e["pid"], e["tid"]): e["args"]["name"]

@@ -51,7 +51,7 @@ class TestPhaseGate:
     def test_disabled_returns_shared_noop(self):
         # One singleton, not a fresh object per call: the disabled cost
         # at a hot call site is a global load and a falsy test.
-        assert phase("smallacc.scatter") is phase("smallacc.propagate")
+        assert phase("smallacc.scatter") is phase("smallacc.validate")
 
     def test_disabled_records_nothing_even_with_tracing_on(self):
         tracing.enable()

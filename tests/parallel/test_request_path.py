@@ -170,12 +170,13 @@ def _python_calls(fn) -> int:
 
 class TestGlue:
     #: Python-level calls in one serial ``hp`` request of 1,024 summands
-    #: with observability off, per backend, plus a margin of three.  A
-    #: request makes 25 on the compiled backend (the driver, the adapter,
-    #: one entry-point call that returns the exact ``int``, the words and
+    #: with observability off, per backend, plus a margin.  A request
+    #: makes 24 on the compiled backend (the driver, the adapter, one
+    #: entry-point call that returns the exact ``int``, the words and
     #: the value from that ``int``; 39 through ctypes, 101 before the
-    #: path was flattened) and 45 on pure (55 when the bound was set).
-    #: A layer added back to the dispatch chain fails it.
+    #: path was flattened) and 51 on pure (one validation, one piece
+    #: and its ``fold_bins``; 55 when the bound was set).  A layer added
+    #: back to the dispatch chain fails it.
     MAX_CALLS = {"cext": 28, "pure": 58}
 
     def test_serial_hp_request_call_count(self):
