@@ -1,15 +1,15 @@
-"""Property tests pinning the small engine to the word path.
+"""Property tests pinning the small engine's pure-NumPy path to the word path.
 
 :func:`repro.core.smallacc.smallacc_total` is the whole small engine:
 one function from an array of doubles to the exact signed scaled
-integer.  Every case that runs it runs on the compiled backend
-(``auto``, where one builds) and on pure NumPy.  Every assertion is
-*bit identity* — with the words engine, the scalar accumulator and the
-scalar oracle (:func:`scatter_one`) — never closeness, over adversarial
-inputs (subnormals, signed zeros, range-edge magnitudes, cancellation)
-and under every reordering a parallel schedule could produce
-(permutation, chunking, split and sum).  The pure path's piece cap gets
-targeted stress via a monkeypatched :data:`PROPAGATE_LIMIT`.
+integer.  These cases run its pure branch (``backend="pure"``: one
+validation, then each piece scattered into zeroed chunks and folded);
+``test_superacc.py`` runs the same properties through the defaults,
+which resolve to the compiled backend where one builds, and
+:class:`TestEngineGates` runs both.  Every assertion is *bit identity*
+— with the words engine, the scalar accumulator and the scalar oracle
+(:func:`scatter_one`) — never closeness.  The pure path's piece cap
+gets targeted stress via a monkeypatched :data:`PROPAGATE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import pytest
 
 from repro.core import smallacc
 from repro.core.accumulator import HPAccumulator
-from repro.core.native import SMALL_PROPAGATE_LIMIT
 from repro.core.params import TABLE1_CONFIGS, HPParams
-from repro.core.scalar import from_double, to_double
+from repro.core.scalar import to_double
 from repro.core.smallacc import (
-    BIN_BITS,
     PROPAGATE_LIMIT,
     bin_count,
     bins_from_int,
@@ -42,11 +40,6 @@ from repro.errors import AdditionOverflowError, ConversionOverflowError
 from repro.experiments.datasets import wide_range_uniform
 
 P = HPParams(3, 2)
-
-
-@pytest.fixture(params=["auto", "pure"])
-def backend(request) -> str:
-    return request.param
 
 
 def adversarial_pool(params: HPParams, rng, n: int = 2000) -> np.ndarray:
@@ -67,7 +60,7 @@ def words(xs: np.ndarray, params: HPParams) -> tuple:
     return batch_sum_doubles(xs, params, method="words")
 
 
-def small_words(xs, params, backend, chunk=1 << 20, check_overflow=True):
+def small_words(xs, params, backend="pure", chunk=1 << 20, check_overflow=True):
     return _finalize_total(
         smallacc_total(xs, params, chunk, backend), params, check_overflow
     )
@@ -84,14 +77,6 @@ class TestDeferredCarryBound:
         # The pure path scatters at most PROPAGATE_LIMIT summands into a
         # zeroed array, each adding one addend below 2**33 to a chunk.
         assert PROPAGATE_LIMIT * (1 << 33) < (1 << 63)
-
-    def test_compiled_limit_leaves_headroom(self):
-        # The compiled two-limb loop adds at most one addend below 2**52
-        # per chunk per summand and propagates every
-        # SMALL_PROPAGATE_LIMIT adds, starting from a residue below
-        # 2**33: no chunk may reach the int64 edge in between.
-        assert (1 << 33) + SMALL_PROPAGATE_LIMIT * (1 << 52) < (1 << 63)
-        assert BIN_BITS == 32
 
     def test_chunk_count_matches_bins(self, hp_params):
         assert bin_count(hp_params) >= 3
@@ -117,29 +102,8 @@ class TestDeferredCarryBound:
                 smallacc_total(np.ones(4), P, chunk, "pure")
 
 
-class TestCanonicalForm:
-    def test_canonical_chunks_roundtrip(self, rng, hp_params):
-        nchunks = bin_count(hp_params)
-        for _ in range(20):
-            value = int(rng.integers(-(2**40), 2**40))
-            assert fold_bins(bins_from_int(value, nchunks)) == value
-
-    def test_fold_roundtrip(self, rng, hp_params):
-        nbins = bin_count(hp_params)
-        limbs = [int(v) for v in rng.integers(-(2**40), 2**40, nbins)]
-        value = fold_bins(limbs)
-        assert fold_bins(bins_from_int(value, nbins)) == value
-
-    def test_empty_input(self, backend):
-        empty = np.array([], dtype=np.float64)
-        assert smallacc_total(empty, P, backend=backend) == 0
-        assert small_words(empty, P, backend) == (0,) * P.n
-
-
 class TestScalarOracle:
-    def test_scatter_one_elementwise_sum_matches_engine(
-        self, rng, hp_params, backend
-    ):
+    def test_scatter_one_elementwise_sum_matches_engine(self, rng, hp_params):
         """Summing per-value chunk tuples elementwise folds to the
         engine's total exactly — the regress anchor."""
         xs = adversarial_pool(hp_params, rng, 400)
@@ -147,13 +111,7 @@ class TestScalarOracle:
         for x in xs:
             for i, limb in enumerate(scatter_one(float(x), hp_params)):
                 acc[i] += limb
-        assert fold_bins(acc) == smallacc_total(xs, hp_params, backend=backend)
-
-    def test_scatter_one_matches_from_double(self, rng, hp_params):
-        """fold(scatter_one(x)) is exactly trunc(x * 2**frac_bits)."""
-        for x in adversarial_pool(hp_params, rng, 200):
-            scaled = fold_bins(scatter_one(float(x), hp_params))
-            assert scaled == trunc_scaled(float(x), hp_params), repr(float(x))
+        assert fold_bins(acc) == smallacc_total(xs, hp_params, backend="pure")
 
     def test_scatter_one_rejects_nonfinite(self, hp_params):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -167,12 +125,11 @@ class TestScalarOracle:
             got = fold_bins(scatter_one(x, hp_params))
             assert got == trunc_scaled(x, hp_params), repr(x)
 
-    def test_single_value_matches_scalar_accumulator(self, hp_params, backend):
+    def test_single_value_matches_scalar_accumulator(self, hp_params):
         for x in (1.5, -2.25, 0.0, -0.0, 2.0**-40, 5e-324):
             acc = HPAccumulator(hp_params)
             acc.add(x)
-            assert acc.words == from_double(x, hp_params)
-            assert small_words(np.array([x]), hp_params, backend) == acc.words
+            assert small_words(np.array([x]), hp_params) == acc.words
 
 
 def wide_summands(n: int, seed: int) -> np.ndarray:
@@ -215,60 +172,32 @@ class TestEngineGates:
 
 
 class TestBitIdentity:
-    def test_matches_words_engine(self, rng, hp_params, backend):
+    def test_matches_words_engine(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng)
-        assert small_words(xs, hp_params, backend) == words(xs, hp_params)
+        assert small_words(xs, hp_params) == words(xs, hp_params)
 
-    def test_matches_words_total(self, rng, hp_params, backend):
+    def test_matches_words_total(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 900)
-        assert smallacc_total(xs, hp_params, backend=backend) == (
+        assert smallacc_total(xs, hp_params, backend="pure") == (
             words_scaled_total(xs, hp_params)
         )
 
-    def test_matches_scalar_accumulator(self, rng, hp_params, backend):
-        xs = adversarial_pool(hp_params, rng, 500)
-        acc = HPAccumulator(hp_params, check_overflow=False)
-        for x in xs:
-            acc.add(float(x))
-        assert small_words(xs, hp_params, backend) == acc.words
-
-    def test_permutation_invariant(self, rng, hp_params, backend):
+    def test_permutation_invariant(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 800)
         reference = words_scaled_total(xs, hp_params)
         for _ in range(3):
             permuted = rng.permutation(xs)
-            assert smallacc_total(permuted, hp_params, backend=backend) == (
+            assert smallacc_total(permuted, hp_params, backend="pure") == (
                 reference
             )
 
-    def test_chunk_invariant(self, rng, hp_params, backend):
+    def test_chunk_invariant(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 701)
         reference = words_scaled_total(xs, hp_params)
         for chunk in (1, 3, 64, 1 << 20):
-            assert smallacc_total(xs, hp_params, chunk, backend) == reference
+            assert smallacc_total(xs, hp_params, chunk, "pure") == reference
 
-    def test_split_sum_matches_one_shot(self, rng, hp_params, backend):
-        """Unequal PE slices summed as integers — the ``hp-small``
-        adapter's combine — and as canonical chunk tuples added
-        elementwise give the one-shot total."""
-        xs = adversarial_pool(hp_params, rng, 900)
-        whole = smallacc_total(xs, hp_params, backend=backend)
-        nchunks = bin_count(hp_params)
-        for pieces in (2, 3, 7):
-            parts = [
-                smallacc_total(part, hp_params, backend=backend)
-                for part in np.array_split(xs, pieces)
-            ]
-            assert sum(parts) == whole
-            merged = [0] * nchunks
-            for part in parts:
-                for i, limb in enumerate(bins_from_int(part, nchunks)):
-                    merged[i] += limb
-            assert fold_bins(merged) == whole
-
-    def test_alternating_sign_cancellation_is_exact_zero(
-        self, rng, hp_params, backend
-    ):
+    def test_alternating_sign_cancellation_is_exact_zero(self, rng, hp_params):
         """x, -x interleaved (the adversarial ordering for float sums)
         and shuffled must cancel to exactly zero, not just a zero
         double."""
@@ -277,41 +206,58 @@ class TestBitIdentity:
         paired[0::2] = xs
         paired[1::2] = -xs
         for order in (paired, rng.permutation(paired)):
-            assert smallacc_total(order, hp_params, backend=backend) == 0
-        assert to_double(small_words(paired, hp_params, backend), hp_params) == 0.0
+            assert smallacc_total(order, hp_params, backend="pure") == 0
+        assert to_double(small_words(paired, hp_params), hp_params) == 0.0
 
-    def test_nonfinite_rejection_parity_with_words(self, hp_params, backend):
+    def test_nonfinite_rejection_parity_with_words(self, hp_params):
         """NaN and ±inf raise the same error type in both exact engines,
         wherever they sit."""
         for bad in (float("nan"), float("inf"), float("-inf")):
             for xs in (np.array([1.0, bad, 2.0]), np.array([bad, 2.0])):
                 with pytest.raises(ConversionOverflowError):
-                    smallacc_total(xs, hp_params, backend=backend)
+                    smallacc_total(xs, hp_params, backend="pure")
                 with pytest.raises(ConversionOverflowError):
                     words_scaled_total(xs, hp_params)
 
-    def test_out_of_range_element_rejected(self, backend):
+    def test_out_of_range_element_rejected(self):
         xs = np.array([0.0, 1e30, 0.0])
         with pytest.raises(ConversionOverflowError, match="element 1"):
-            smallacc_total(xs, HPParams(2, 1), backend=backend)
+            smallacc_total(xs, HPParams(2, 1), backend="pure")
 
-    def test_range_overflow_raises(self, backend):
-        params = HPParams(2, 1)
+    def test_range_overflow_raises(self):
         with pytest.raises(AdditionOverflowError):
-            small_words(np.full(4, 2.0**62), params, backend)
+            small_words(np.full(4, 2.0**62), HPParams(2, 1))
 
-    def test_accumulator_add_doubles_matches_extend(self, rng, hp_params):
-        xs = adversarial_pool(hp_params, rng, 300)
-        a = HPAccumulator(hp_params, check_overflow=False)
-        a.extend(xs.tolist())
-        b = HPAccumulator(hp_params, check_overflow=False)
-        b.add_doubles(xs)
-        assert a.words == b.words
-        assert a.count == b.count
-
-    def test_overflow_check_disabled_wraps_identically(self, backend):
+    def test_overflow_check_disabled_wraps_identically(self):
         params = HPParams(2, 1)
         xs = np.full(2, 2.0**62)
-        assert small_words(xs, params, backend, check_overflow=False) == (
+        assert small_words(xs, params, check_overflow=False) == (
             batch_sum_doubles(xs, params, check_overflow=False, method="words")
         )
+
+
+class TestMergeAlgebra:
+    def test_split_merge_matches_one_shot(self, rng, hp_params):
+        """Unequal PE slices' totals, added as integers (the ``hp-small``
+        adapter's combine), give the one-shot total."""
+        xs = adversarial_pool(hp_params, rng, 800)
+        one = smallacc_total(xs, hp_params, backend="pure")
+        for pieces in (2, 5, 7):
+            merged = sum(
+                smallacc_total(part, hp_params, backend="pure")
+                for part in np.array_split(xs, pieces)
+            )
+            assert merged == one
+
+
+class TestCanonicalForm:
+    def test_canonical_chunks_roundtrip(self, rng, hp_params):
+        nchunks = bin_count(hp_params)
+        for _ in range(20):
+            value = int(rng.integers(-(2**40), 2**40))
+            assert fold_bins(bins_from_int(value, nchunks)) == value
+
+    def test_empty_absorb(self):
+        empty = np.array([], dtype=np.float64)
+        assert smallacc_total(empty, P, backend="pure") == 0
+        assert small_words(empty, P) == (0,) * P.n

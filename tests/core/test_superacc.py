@@ -1,17 +1,17 @@
 """Property tests pinning the default exact path to the word-matrix path.
 
 Every exact entry point defaults to Neal's small accumulator
-(:mod:`repro.core.smallacc`) on the resolved backend — compiled where
-the environment allows it.  These tests call the defaults (no
-``method=`` / ``backend=`` arguments), so they pin what callers
-actually get; ``test_smallacc.py`` pins the pure-NumPy carry machinery.
-This module keeps the name of the binned engine whose contract it first
-pinned, so its test IDs stay stable; every check now runs on the small
-engine.  Each assertion is *bit identity* with the words path or the
-scalar accumulator — never closeness — over adversarial inputs
+(:func:`repro.core.smallacc.smallacc_total`) on the resolved backend —
+compiled where the environment allows it.  These tests call the
+defaults (no ``method=`` / ``backend=`` arguments), so they pin what
+callers actually get; ``test_smallacc.py`` pins the pure-NumPy piece
+loop.  This module keeps the name of the binned engine whose contract
+it first pinned, so its test IDs stay stable; every check runs on the
+small engine.  Each assertion is *bit identity* with the words path or
+the scalar accumulator — never closeness — over adversarial inputs
 (subnormals, signed zeros, range-edge magnitudes, mass cancellation) and
 under every reordering a parallel schedule could produce (permutation,
-chunking, split/merge).
+chunking, split and sum).
 """
 
 from __future__ import annotations
@@ -22,41 +22,21 @@ import pytest
 from repro.core.accumulator import HPAccumulator
 from repro.core.native import SMALL_PROPAGATE_LIMIT
 from repro.core.params import HPParams
-from repro.core.scalar import from_double
+from repro.core.scalar import from_double, to_double
 from repro.core.smallacc import (
     BIN_BITS,
-    SmallAccumulator,
     bin_count,
     bins_from_int,
     fold_bins,
     scatter_one,
+    smallacc_total,
 )
 from repro.core.vectorized import batch_sum_doubles
-from repro.errors import (
-    AdditionOverflowError,
-    ConversionOverflowError,
-    MixedParameterError,
-)
+from repro.errors import AdditionOverflowError, ConversionOverflowError
+
+from tests.core.test_smallacc import adversarial_pool, trunc_scaled, words
 
 P = HPParams(3, 2)
-
-
-def adversarial_pool(params: HPParams, rng, n: int = 2000) -> np.ndarray:
-    """Sign-mixed values spanning subnormals to the format's range edge."""
-    edge = 2.0 ** min(params.whole_bits - 2, 1021)
-    specials = [
-        0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),
-        1.0, -1.0, edge, -edge, edge / 3.0, -edge / 3.0,
-    ]
-    exps = rng.uniform(-60.0, min(params.whole_bits - 4, 60), n - len(specials))
-    bulk = rng.choice([-1.0, 1.0], n - len(specials)) * np.exp2(exps)
-    xs = np.concatenate([np.array(specials), bulk])
-    return rng.permutation(xs)
-
-
-def words(xs: np.ndarray, params: HPParams) -> tuple:
-    """The reference: the paper's word-matrix engine."""
-    return batch_sum_doubles(xs, params, method="words")
 
 
 class TestScatterHeadroom:
@@ -81,33 +61,23 @@ class TestScatterHeadroom:
 class TestScalarMirror:
     def test_scatter_double_matches_from_double(self, rng, hp_params):
         """fold(scatter_one(x)) is exactly trunc(x * 2**frac_bits)."""
-        from fractions import Fraction
-
-        xs = adversarial_pool(hp_params, rng, 200)
-        frac = hp_params.frac_bits
-        for x in xs:
+        for x in adversarial_pool(hp_params, rng, 200):
             scaled = fold_bins(scatter_one(float(x), hp_params))
-            ref = Fraction(float(x)) * (1 << frac)
-            ref = int(ref) if ref >= 0 else -int(-ref)  # trunc toward zero
-            assert scaled == ref, repr(float(x))
+            assert scaled == trunc_scaled(float(x), hp_params), repr(float(x))
 
     def test_scatter_double_rejects_nonfinite(self, hp_params):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConversionOverflowError):
                 batch_sum_doubles(np.array([1.0, bad]), hp_params)
-            engine = SmallAccumulator(hp_params)
             with pytest.raises(ConversionOverflowError):
-                engine.absorb(np.array([bad, 2.0]))
-            assert engine.total() == 0
+                smallacc_total(np.array([bad, 2.0]), hp_params)
 
     def test_single_value_matches_from_double(self, hp_params):
         for x in (1.5, -2.25, 0.0, -0.0, 2.0**-40, 5e-324):
             acc = HPAccumulator(hp_params)
             acc.add(x)
             assert acc.words == from_double(x, hp_params)
-            engine = SmallAccumulator(hp_params)
-            engine.absorb(np.array([x]))
-            assert engine.to_words() == acc.words
+            assert batch_sum_doubles(np.array([x]), hp_params) == acc.words
 
 
 class TestBitIdentity:
@@ -120,9 +90,7 @@ class TestBitIdentity:
         acc = HPAccumulator(hp_params, check_overflow=False)
         for x in xs:
             acc.add(float(x))
-        engine = SmallAccumulator(hp_params)
-        engine.absorb(xs)
-        assert engine.to_words() == acc.words
+        assert batch_sum_doubles(xs, hp_params) == acc.words
 
     def test_chunk_invariant(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 701)
@@ -139,37 +107,33 @@ class TestBitIdentity:
             )
 
     def test_split_merge_invariant(self, rng, hp_params):
-        """Partition into unequal PE slices, merge engines — the threads
-        substrate's algebra — and compare against one-shot absorption."""
+        """Partition into unequal PE slices and add their totals as
+        integers — the ``hp-small`` adapter's combine — against the
+        one-shot total."""
         xs = adversarial_pool(hp_params, rng, 900)
-        one = SmallAccumulator(hp_params)
-        one.absorb(xs)
+        one = smallacc_total(xs, hp_params)
         for pieces in (2, 3, 7):
-            merged = SmallAccumulator(hp_params)
-            for part in np.array_split(xs, pieces):
-                local = SmallAccumulator(hp_params)
-                local.absorb(part)
-                merged.merge(local)
-            assert merged.to_words() == one.to_words()
+            parts = np.array_split(xs, pieces)
+            assert sum(smallacc_total(p, hp_params) for p in parts) == one
 
     def test_mass_cancellation_is_exact_zero(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 600)
-        both = np.concatenate([xs, -xs])
-        engine = SmallAccumulator(hp_params)
-        engine.absorb(rng.permutation(both))
-        assert engine.total() == 0
-        assert engine.to_double() == 0.0
+        both = rng.permutation(np.concatenate([xs, -xs]))
+        assert smallacc_total(both, hp_params) == 0
+        assert to_double(batch_sum_doubles(both, hp_params), hp_params) == 0.0
 
     def test_fold_trigger_preserves_identity(self):
-        """Many small absorbs, each ending in a carry propagation, plus a
-        tiny chunk: the deferred-carry bookkeeping must stay exact."""
+        """Many small calls with a tiny chunk, their totals summed: the
+        carry handling of every call must stay exact."""
         params = HPParams(2, 1)
         rng = np.random.default_rng(7)
         xs = rng.uniform(-1.0, 1.0, 4096)
-        engine = SmallAccumulator(params, chunk=5)
-        for i in range(0, len(xs), 17):
-            engine.absorb(xs[i : i + 17])
-        assert engine.to_words() == words(xs, params)
+        total = sum(
+            smallacc_total(xs[i : i + 17], params, chunk=5)
+            for i in range(0, len(xs), 17)
+        )
+        assert total == smallacc_total(xs, params)
+        assert batch_sum_doubles(xs, params, chunk=5) == words(xs, params)
 
 
 class TestEngineContract:
@@ -198,35 +162,22 @@ class TestEngineContract:
         with pytest.raises(ConversionOverflowError):
             batch_sum_doubles(np.array([1.0, float("nan")]), P)
 
-    def test_mixed_params_merge_rejected(self):
-        a = SmallAccumulator(HPParams(2, 1))
-        b = SmallAccumulator(HPParams(3, 2))
-        with pytest.raises(MixedParameterError):
-            a.merge(b)
-
     def test_bins_property_elementwise_mergeable(self, rng, hp_params):
+        """The canonical chunk tuples of two halves' totals, added
+        elementwise, fold to the whole's total."""
         xs = adversarial_pool(hp_params, rng, 400)
-        parts = []
-        for half in np.array_split(xs, 2):
-            e = SmallAccumulator(hp_params)
-            e.absorb(half)
-            parts.append(e)
-        merged = tuple(x + y for x, y in zip(parts[0].chunks, parts[1].chunks))
-        whole = SmallAccumulator(hp_params)
-        whole.absorb(xs)
-        assert fold_bins(merged) == whole.total()
-
-    def test_reset(self, rng):
-        engine = SmallAccumulator(P)
-        engine.absorb(rng.uniform(-1, 1, 100))
-        engine.reset()
-        assert engine.total() == 0
-        assert engine.count == 0
+        nbins = bin_count(hp_params)
+        halves = [
+            bins_from_int(smallacc_total(half, hp_params), nbins)
+            for half in np.array_split(xs, 2)
+        ]
+        merged = tuple(x + y for x, y in zip(*halves))
+        assert fold_bins(merged) == smallacc_total(xs, hp_params)
 
     def test_empty_absorb(self):
-        engine = SmallAccumulator(P)
-        engine.absorb(np.array([], dtype=np.float64))
-        assert engine.to_words() == (0,) * P.n
+        empty = np.array([], dtype=np.float64)
+        assert smallacc_total(empty, P) == 0
+        assert batch_sum_doubles(empty, P) == (0,) * P.n
 
     def test_accumulator_add_doubles_matches_extend(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 300)
