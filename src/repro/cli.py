@@ -280,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs one instrumented reduction with the phase "
         "markers armed and prints the per-phase cost table (self time, "
         "cumulative time, percent of wall clock; per-worker rows under "
-        "--substrate procs).  A stdlib sampling profiler runs alongside "
-        "for unattributed time; --flamegraph / --speedscope export its "
-        "merged stacks, --perfetto exports the span trace plus per-phase "
-        "counter tracks.  --calibrate instead measures this machine's "
+        "--substrate procs).  --flamegraph / --speedscope export the "
+        "same phase tree as stacks weighted by self time in microseconds "
+        "(the master's uncovered time is one '(unattributed)' stack), "
+        "--perfetto exports the span trace plus per-phase counter "
+        "tracks.  --calibrate instead measures this machine's "
         "per-engine costs and renders the measured-anchor residual table "
         "against the perfmodel (see docs/OBSERVABILITY.md).",
     )
@@ -313,24 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--seed", type=int, default=None)
     p_prof.add_argument(
         "--flamegraph", metavar="PATH", default=None,
-        help="write collapsed-stack flamegraph text here",
+        help="write the phase tree as collapsed-stack flamegraph text "
+        "here",
     )
     p_prof.add_argument(
         "--speedscope", metavar="PATH", default=None,
-        help="write speedscope JSON here",
+        help="write the phase tree as speedscope JSON here",
     )
     p_prof.add_argument(
         "--perfetto", metavar="PATH", default=None,
         help="write the Chrome/Perfetto trace (spans + phase counter "
         "tracks) here",
-    )
-    p_prof.add_argument(
-        "--sample-hz", type=float, default=200.0,
-        help="sampling profiler frequency (default 200 Hz)",
-    )
-    p_prof.add_argument(
-        "--no-sample", action="store_true",
-        help="disable the sampling profiler (phase markers only)",
     )
     p_prof.add_argument(
         "--calibrate", action="store_true",
@@ -1382,31 +1376,24 @@ def _cmd_profile(args) -> int:
         obs.TRACER.reset()
         obs.REGISTRY.reset()
 
-    sampler = None
-    if not args.no_sample:
-        sampler = prof.SamplingProfiler(interval_s=1.0 / args.sample_hz)
     with prof.profiled(metrics=False):
-        if sampler is not None:
-            sampler.start()
-        try:
-            with obs.TRACER.span(prof.RUN_SPAN, engine=args.engine,
-                                 substrate=args.substrate, n=args.n):
-                value = run()
-        finally:
-            if sampler is not None:
-                sampler.stop()
+        with obs.TRACER.span(prof.RUN_SPAN, engine=args.engine,
+                             substrate=args.substrate, n=args.n):
+            value = run()
     report = prof.ProfileReport.from_tracer()
 
     # With --json, stdout carries only the JSON document.
     notice = sys.stderr if args.json else sys.stdout
     if args.flamegraph:
         with open(args.flamegraph, "w", encoding="utf-8") as fh:
-            fh.write(sampler.collapsed() if sampler else "")
+            fh.write(prof.format_collapsed(report.stacks))
         print(f"flamegraph collapsed stacks written to {args.flamegraph}",
               file=notice)
     if args.speedscope:
-        doc = (sampler.speedscope(f"repro profile {args.engine}")
-               if sampler else prof.speedscope_document({}))
+        doc = prof.speedscope_document(
+            report.stacks, name=f"repro profile {args.engine}",
+            interval_s=1e-6,
+        )
         with open(args.speedscope, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -1424,14 +1411,10 @@ def _cmd_profile(args) -> int:
         doc["substrate"] = args.substrate
         doc["n"] = args.n
         doc["value"] = value
-        doc["samples"] = sampler.samples if sampler else 0
         print(json.dumps(doc, indent=2))
         return 0
     print(f"profile: engine={args.engine} substrate={args.substrate} "
           f"n={args.n} value={value!r}")
-    if sampler is not None:
-        print(f"sampling profiler: {sampler.samples} stacks at "
-              f"{args.sample_hz:g} Hz")
     print()
     print(report.render())
     return 0

@@ -52,8 +52,8 @@ from repro.observability.metrics import (
 from repro.observability.monitor import MONITOR, DriftMonitor, monitoring
 from repro.observability.profile import (
     ProfileReport,
-    SamplingProfiler,
     chrome_trace_with_phases,
+    format_collapsed,
     parse_collapsed,
     phase,
     profiled,
@@ -132,7 +132,7 @@ __all__ = [
     "phase",
     "profiled",
     "ProfileReport",
-    "SamplingProfiler",
+    "format_collapsed",
     "parse_collapsed",
     "speedscope_document",
     "validate_speedscope",

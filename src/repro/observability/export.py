@@ -112,7 +112,6 @@ HELP_TEXT = {
         "Wall seconds spent inside each named phase region.",
     "profile_phase_call_seconds":
         "Per-entry phase latency (seconds) as a histogram.",
-    "profile_samples": "Stacks captured by the sampling profiler.",
     "analysis_files_indexed": "Files indexed by the whole-program analyzer.",
     "analysis_files_parsed": "Files parsed (cache misses) by the analyzer.",
     "analysis_cache_hits": "Analyzer per-file summaries served from cache.",

@@ -1,10 +1,10 @@
-"""Phase-level profiling: cost attribution, sampling, and exports.
+"""Phase-level profiling: cost attribution and exports.
 
 PR 5 gave the repo metrics, traces, and drift; this module adds the
 fourth observability pillar — *profiling* — so the exactness tax the
 benchmarks quantify (the HP cost factor over a naive float64 sum) can
 be attributed to named phases of the algorithm instead of one opaque
-total.  Three layers:
+total.  Two layers:
 
 * **Phase markers** — :func:`phase` opens a span named ``phase.<name>``
   on the default tracer.  Like the metrics/tracing gates, the module
@@ -17,28 +17,24 @@ total.  Three layers:
   counters and a ``profile.phase_call_seconds`` latency histogram, all
   labeled by phase, which flow through the existing Prometheus
   exposition and ``/metrics`` endpoint unchanged.
-* **Cost table** — :class:`ProfileReport` aggregates the recorded
+* **Phase tree** — :class:`ProfileReport` aggregates the recorded
   ``phase.*`` spans into self-time / cumulative / percent rows, with
   per-worker attribution: spans measured inside procpool workers arrive
   through :meth:`repro.observability.tracing.Tracer.adopt`, nested under
-  a span carrying ``pid`` and ``pe`` attributes, and the report
+  a span carrying ``pid`` and ``pe`` attributes, and native-thread PEs
+  run under a ``threads.worker`` span of engine ``native``; the report
   walks each phase span's ancestry to place it on that worker's row,
-  one per PE even when one process ran several PEs' tasks.
-* **Sampling profiler** — :class:`SamplingProfiler` is a stdlib-only
-  background thread over ``sys._current_frames()`` (NumPy kernels
-  release the GIL, so the main thread's frames stay sampleable).  Its
-  merged stacks export as collapsed-stack flamegraph text and
-  speedscope JSON; :func:`parse_collapsed` is the strict inverse the
-  tests round-trip through.
+  one per PE even when one process ran several PEs' tasks.  The same
+  walk yields the flame graph: one stack per phase path weighted by its
+  self time in microseconds, exported as collapsed-stack text
+  (:func:`format_collapsed`, with :func:`parse_collapsed` its strict
+  inverse) or speedscope JSON.
 
-``repro profile`` drives all three from the CLI.
+``repro profile`` drives both from the CLI.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.observability import metrics as _metrics
@@ -56,7 +52,7 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "PhaseRow",
     "ProfileReport",
-    "SamplingProfiler",
+    "format_collapsed",
     "parse_collapsed",
     "speedscope_document",
     "validate_speedscope",
@@ -195,6 +191,9 @@ class profiled:
 #: Worker key for phases measured on the master process.
 MASTER_WORKER = "master"
 
+#: Flame-graph frame for the master's wall time that no phase covers.
+UNATTRIBUTED = "(unattributed)"
+
 
 @dataclass
 class PhaseRow:
@@ -216,30 +215,41 @@ class PhaseRow:
         }
 
 
-def _nearest_phase_ancestor(sp: Span, by_id: dict[int, Span]) -> Span | None:
-    parent_id = sp.parent_id
-    while parent_id is not None:
-        parent = by_id.get(parent_id)
-        if parent is None:
-            return None
-        if parent.name.startswith(PHASE_PREFIX):
-            return parent
-        parent_id = parent.parent_id
+def _worker_label(sp: Span) -> str | None:
+    """The worker ``sp`` marks, if any: a procpool task span carries a
+    ``pid`` (and its ``pe``, since one process may run several PEs'
+    tasks); a native-thread PE runs under ``threads.worker`` with
+    engine ``native``."""
+    attrs = sp.attrs
+    pid = attrs.get("pid")
+    if isinstance(pid, int) and pid > 0:
+        pe = attrs.get("pe")
+        return f"pid={pid}" if pe is None else f"pid={pid} pe={pe}"
+    if sp.name == "threads.worker" and attrs.get("engine") == "native":
+        return f"thread rank={attrs.get('rank')}"
     return None
 
 
-def _worker_of(sp: Span, by_id: dict[int, Span]) -> str:
-    """The worker a span ran on: the nearest ancestor (or the span
-    itself) carrying a ``pid`` attribute, and its ``pe`` when it has
-    one (one process may run several PEs' tasks), else the master."""
+def _place(
+    sp: Span, by_id: dict[int, Span]
+) -> tuple[str, tuple[str, ...], Span | None]:
+    """Walk a phase span's ancestry up to its worker boundary: returns
+    the worker it ran on, the phase names from the outermost enclosing
+    phase down to ``sp``, and the nearest enclosing phase span (through
+    any non-phase spans between).  A worker's phases never nest under a
+    master phase: they run concurrently with it."""
+    path = [sp.name[len(PHASE_PREFIX):]]
+    nearest: Span | None = None
     cur: Span | None = sp
     while cur is not None:
-        pid = cur.attrs.get("pid")
-        if isinstance(pid, int) and pid > 0:
-            pe = cur.attrs.get("pe")
-            return f"pid={pid}" if pe is None else f"pid={pid} pe={pe}"
+        label = _worker_label(cur)
+        if label is not None:
+            return label, tuple(reversed(path)), nearest
         cur = by_id.get(cur.parent_id) if cur.parent_id is not None else None
-    return MASTER_WORKER
+        if cur is not None and cur.name.startswith(PHASE_PREFIX):
+            path.append(cur.name[len(PHASE_PREFIX):])
+            nearest = nearest or cur
+    return MASTER_WORKER, tuple(reversed(path)), nearest
 
 
 @dataclass
@@ -252,39 +262,54 @@ class ProfileReport:
     wall clock — the share of the run the phase catalog explains (worker
     self-time runs concurrently with the master clock, so it reports
     separately rather than inflating the fraction past 1).
+
+    ``stacks`` is the same phase tree as a flame graph: one key per
+    phase path (worker label first, off the master), weighted by self
+    time in whole microseconds.  The master's time no phase covers is
+    the :data:`UNATTRIBUTED` stack, so the master's weights add up to
+    the wall.
     """
 
     wall_s: float = 0.0
     rows: list[PhaseRow] = field(default_factory=list)
+    stacks: dict[tuple[str, ...], int] = field(default_factory=dict)
 
     @classmethod
     def from_spans(cls, spans: list[Span]) -> "ProfileReport":
         done = [s for s in spans if s.finished]
         by_id = {s.span_id: s for s in done if s.span_id is not None}
         phases = [s for s in done if s.name.startswith(PHASE_PREFIX)]
+        placed = [(sp, *_place(sp, by_id)) for sp in phases]
 
         # Self time: subtract each phase's duration from its nearest
-        # enclosing phase, walking through any non-phase spans between.
+        # enclosing phase on the same worker.
         child_s: dict[int, float] = {}
-        for sp in phases:
-            anc = _nearest_phase_ancestor(sp, by_id)
+        for sp, _worker, _path, anc in placed:
             if anc is not None and anc.span_id is not None:
                 child_s[anc.span_id] = (
                     child_s.get(anc.span_id, 0.0) + (sp.duration_s or 0.0)
                 )
 
         rows: dict[tuple[str, str], PhaseRow] = {}
-        for sp in phases:
-            name = sp.name[len(PHASE_PREFIX):]
-            worker = _worker_of(sp, by_id)
+        stacks: dict[tuple[str, ...], int] = {}
+        master_us = 0
+        for sp, worker, path, _anc in placed:
+            name = path[-1]
             row = rows.get((name, worker))
             if row is None:
                 row = rows[(name, worker)] = PhaseRow(name, worker)
             duration = sp.duration_s or 0.0
             nested = child_s.get(sp.span_id, 0.0) if sp.span_id else 0.0
+            self_s = max(0.0, duration - nested)
             row.calls += 1
             row.cum_s += duration
-            row.self_s += max(0.0, duration - nested)
+            row.self_s += self_s
+            weight = round(self_s * 1e6)
+            if worker == MASTER_WORKER:
+                master_us += weight
+            else:
+                path = (worker,) + path
+            stacks[path] = stacks.get(path, 0) + weight
 
         run = [s for s in done if s.name == RUN_SPAN]
         if run:
@@ -295,10 +320,13 @@ class ProfileReport:
             wall = end - start
         else:
             wall = 0.0
+        unattributed_us = round(wall * 1e6) - master_us
+        if unattributed_us > 0:
+            stacks[(UNATTRIBUTED,)] = unattributed_us
         ordered = sorted(
             rows.values(), key=lambda r: (-r.self_s, r.phase, r.worker)
         )
-        return cls(wall_s=wall, rows=ordered)
+        return cls(wall_s=wall, rows=ordered, stacks=stacks)
 
     @classmethod
     def from_tracer(cls, tracer: Tracer = TRACER) -> "ProfileReport":
@@ -372,107 +400,21 @@ class ProfileReport:
 
 
 # ---------------------------------------------------------------------------
-# sampling wall-clock profiler
+# flame-graph exports
 # ---------------------------------------------------------------------------
 
 
-def _frame_label(frame) -> str:
-    code = frame.f_code
-    name = code.co_name
-    module = frame.f_globals.get("__name__", "?")
-    # Collapsed-stack frames are ';'-joined; keep the separator out.
-    return f"{module}:{name}".replace(";", ",")
-
-
-class SamplingProfiler:
-    """Background wall-clock sampler over ``sys._current_frames()``.
-
-    Samples the *target* thread's stack (default: the thread that
-    constructed the profiler) every ``interval_s`` seconds from a daemon
-    thread, merging identical stacks into weights.  Stacks are stored
-    root-to-leaf.  Stdlib-only — no signals, no C extension — so it
-    works the same on every platform the repo supports; NumPy kernels
-    release the GIL, so samples land even mid-``np.add.at``.
-    """
-
-    def __init__(self, interval_s: float = 0.005,
-                 target_thread_id: int | None = None) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
-        self.interval_s = interval_s
-        self.target_thread_id = (
-            target_thread_id if target_thread_id is not None
-            else threading.get_ident()
-        )
-        self.stacks: dict[tuple[str, ...], int] = {}
-        self.samples = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "SamplingProfiler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "SamplingProfiler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frames = sys._current_frames()
-            frame = frames.get(self.target_thread_id)
-            if frame is None:
-                continue
-            stack: list[str] = []
-            while frame is not None:
-                stack.append(_frame_label(frame))
-                frame = frame.f_back
-            key = tuple(reversed(stack))  # root first
-            with self._lock:
-                self.stacks[key] = self.stacks.get(key, 0) + 1
-                self.samples += 1
-            if _metrics.ENABLED:
-                _metrics.REGISTRY.counter("profile.samples").inc()
-
-    # -- exports ------------------------------------------------------------
-
-    def merged(self) -> dict[tuple[str, ...], int]:
-        with self._lock:
-            return dict(self.stacks)
-
-    def collapsed(self) -> str:
-        """Flamegraph collapsed-stack text: ``root;...;leaf count``."""
-        lines = [
-            ";".join(stack) + f" {count}"
-            for stack, count in sorted(self.merged().items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def speedscope(self, name: str = "repro profile") -> dict:
-        return speedscope_document(self.merged(), name=name,
-                                   interval_s=self.interval_s)
+def format_collapsed(stacks: dict[tuple[str, ...], int]) -> str:
+    """Flamegraph collapsed-stack text: ``root;...;leaf weight``."""
+    lines = [
+        ";".join(stack) + f" {weight}"
+        for stack, weight in sorted(stacks.items())
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_collapsed(text: str) -> dict[tuple[str, ...], int]:
-    """Strict inverse of :meth:`SamplingProfiler.collapsed`."""
+    """Strict inverse of :func:`format_collapsed`."""
     stacks: dict[tuple[str, ...], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -498,7 +440,8 @@ def speedscope_document(
 ) -> dict:
     """Merged stacks as a speedscope ``sampled`` profile.
 
-    Weights are seconds (sample count x sampling interval); frames are
+    Weights are seconds (stack weight x ``interval_s``; the phase
+    tree's weights are microseconds, so it passes ``1e-6``); frames are
     deduplicated into the shared frame table as the format requires.
     """
     frame_index: dict[str, int] = {}

@@ -44,7 +44,10 @@ from a block the master allocated and parent links to the master's
 reduce span, and ship them back with the partials, where
 :meth:`repro.observability.tracing.Tracer.adopt` appends them verbatim.
 Worker-side counters (for example ``smallacc.scatter_bytes``) are merged
-into the master registry the same way.
+into the master registry the same way.  The master's own steps are
+phases (``procs.ingest``, ``procs.spawn``, ``procs.partition``,
+``procs.dispatch``, ``procs.combine``, ``procs.close``), so a profiled
+one-shot reduction accounts for the pool's start and shutdown too.
 """
 
 from __future__ import annotations
@@ -329,7 +332,8 @@ class ProcPool:
             raise ValueError(f"expected 1-D summands, got shape {data.shape}")
         self._close_pool()
         self._release_shm()
-        with _trace.span("procpool.load", n=len(data), nbytes=data.nbytes):
+        with _trace.span("procpool.load", n=len(data),
+                         nbytes=data.nbytes), _phase("procs.ingest"):
             if data.nbytes:
                 self._shm = _shm_mod.SharedMemory(
                     create=True, size=data.nbytes
@@ -343,12 +347,13 @@ class ProcPool:
         if self._pool is None:
             shm_name = self._shm.name if self._shm is not None else None
             shape = self._shape if self._shape is not None else (0,)
-            self._pool = self._ctx.Pool(
-                processes=self.pes,
-                initializer=_worker_init,
-                initargs=(shm_name, shape, _obs.ENABLED, _trace.ENABLED,
-                          _profile.ENABLED, _journal.ENABLED),
-            )
+            with _phase("procs.spawn"):
+                self._pool = self._ctx.Pool(
+                    processes=self.pes,
+                    initializer=_worker_init,
+                    initargs=(shm_name, shape, _obs.ENABLED, _trace.ENABLED,
+                              _profile.ENABLED, _journal.ENABLED),
+                )
             if _obs.ENABLED:
                 _obs.REGISTRY.counter(
                     "procpool.workers_spawned", start=self.start_method
@@ -376,8 +381,9 @@ class ProcPool:
 
     def close(self) -> None:
         """Shut down the workers and unlink the shared segment."""
-        self._close_pool()
-        self._release_shm()
+        with _phase("procs.close"):
+            self._close_pool()
+            self._release_shm()
 
     def __enter__(self) -> "ProcPool":
         return self

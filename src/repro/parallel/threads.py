@@ -132,7 +132,10 @@ def thread_reduce(
                 finally:
                     _race.task_done(task)
 
-            with ThreadPoolExecutor(max_workers=num_threads) as pool:
+            # The master's fork/join wait is a phase of its own; the
+            # workers' phases land on their own rows.
+            with _phase("threads.dispatch"), \
+                    ThreadPoolExecutor(max_workers=num_threads) as pool:
                 futures = []
                 for rank, (lo, hi) in enumerate(ranges):
                     _race.task_created(f"threads.worker[{rank}]")

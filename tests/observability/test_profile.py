@@ -1,5 +1,5 @@
-"""The profiling layer: phase markers, the cost table, the sampling
-profiler, and the flamegraph/speedscope/Perfetto/Prometheus exports.
+"""The profiling layer: phase markers, the cost table and its flame-graph
+stacks, and the flamegraph/speedscope/Perfetto/Prometheus exports.
 
 The synthetic-span tests build :class:`Span` trees via ``from_dict``
 with hand-picked durations so self/cumulative arithmetic is asserted
@@ -22,9 +22,10 @@ from repro.observability.profile import (
     MASTER_WORKER,
     PHASE_PREFIX,
     RUN_SPAN,
+    UNATTRIBUTED,
     ProfileReport,
-    SamplingProfiler,
     chrome_trace_with_phases,
+    format_collapsed,
     parse_collapsed,
     phase,
     phase_counter_events,
@@ -195,6 +196,52 @@ class TestProfileReport:
         assert "fold" in text and "% wall" in text
         assert "50.0% of wall" in text
 
+    def test_stacks_weigh_self_time_in_microseconds(self):
+        spans = [
+            _span(RUN_SPAN, 1, duration=0.010),
+            _span(PHASE_PREFIX + "outer", 2, parent_id=1, duration=0.004),
+            # A non-phase span between two phases.
+            _span("intermediate", 3, parent_id=2, duration=0.003),
+            _span(PHASE_PREFIX + "inner", 4, parent_id=3, duration=0.0025),
+            # A procs worker subtree.
+            _span("procpool.worker", 5, parent_id=1, duration=0.006,
+                  pid=7, pe=0),
+            _span(PHASE_PREFIX + "procs.compute", 6, parent_id=5,
+                  duration=0.005),
+            _span(PHASE_PREFIX + "smallacc.scatter", 7, parent_id=6,
+                  duration=0.0045),
+            # A native-thread worker under the master's dispatch phase:
+            # it runs concurrently, so it neither nests under that phase
+            # nor reduces its self time.
+            _span(PHASE_PREFIX + "threads.dispatch", 8, parent_id=1,
+                  duration=0.003),
+            _span("threads.worker", 9, parent_id=8, duration=0.0028,
+                  rank=1, engine="native"),
+            _span(PHASE_PREFIX + "threads.compute", 10, parent_id=9,
+                  duration=0.0027),
+        ]
+        unfinished = _span(PHASE_PREFIX + "open", 11, parent_id=1)
+        unfinished.duration_s = None
+        report = ProfileReport.from_spans(spans + [unfinished])
+        assert report.stacks == {
+            ("outer",): 1500,
+            ("outer", "inner"): 2500,
+            ("pid=7 pe=0", "procs.compute"): 500,
+            ("pid=7 pe=0", "procs.compute", "smallacc.scatter"): 4500,
+            ("threads.dispatch",): 3000,
+            ("thread rank=1", "threads.compute"): 2700,
+            (UNATTRIBUTED,): 3000,
+        }
+        master_us = sum(
+            weight for stack, weight in report.stacks.items()
+            if not stack[0].startswith(("pid=", "thread "))
+        )
+        assert master_us == round(report.wall_s * 1e6) == 10_000
+        assert report.attributed_fraction == pytest.approx(0.7)
+        workers = {r.phase: r.worker for r in report.rows}
+        assert workers["threads.compute"] == "thread rank=1"
+        assert workers["threads.dispatch"] == MASTER_WORKER
+
     def test_from_tracer_end_to_end(self):
         with profiled():
             with TRACER.span(RUN_SPAN):
@@ -209,48 +256,23 @@ class TestProfileReport:
 
 
 class TestSamplingProfiler:
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval_s=0.0)
-
-    def test_rejects_double_start(self):
-        p = SamplingProfiler(interval_s=0.01)
-        with p:
-            with pytest.raises(RuntimeError):
-                p.start()
-
-    def test_samples_a_busy_main_thread(self):
-        with SamplingProfiler(interval_s=0.002) as p:
-            deadline = time.perf_counter() + 0.15
-            while time.perf_counter() < deadline:
-                sum(range(1000))
-        assert p.samples > 0
-        stacks = p.merged()
-        assert sum(stacks.values()) == p.samples
-        for stack in stacks:
-            assert stack  # never an empty tuple
-            assert all(";" not in frame for frame in stack)
+    """The collapsed-stack flame-graph export and its strict parser."""
 
     def test_collapsed_round_trips_exact_weights(self):
-        p = SamplingProfiler(interval_s=0.002)
-        p.stacks = {("mod:main", "mod:inner"): 5, ("mod:main",): 2}
-        p.samples = 7
-        text = p.collapsed()
+        stacks = {("outer", "inner"): 5, ("outer",): 2,
+                  ("pid=7 pe=0", "procs.compute"): 3}
+        text = format_collapsed(stacks)
         assert text.endswith("\n")
-        assert "mod:main;mod:inner 5" in text
-        assert parse_collapsed(text) == p.stacks
+        assert "outer;inner 5" in text
+        assert "pid=7 pe=0;procs.compute 3" in text
+        assert parse_collapsed(text) == stacks
+        assert format_collapsed({}) == ""
 
     def test_parse_collapsed_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_collapsed("no-trailing-count\n")
         with pytest.raises(ValueError):
             parse_collapsed("a;;b 3\n")
-
-    def test_records_sample_counter_when_metrics_on(self):
-        metrics.enable()
-        with SamplingProfiler(interval_s=0.002):
-            time.sleep(0.05)
-        assert REGISTRY.value("profile.samples") > 0
 
 
 class TestSpeedscope:
